@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from .kernels import RYSER_MAX_N
 from .perms import Permutation
 
 BRUTEFORCE_MAX_N = 9
-RYSER_MAX_N = 24
 ENUMERATE_MAX_N = 8
 
 
@@ -189,8 +189,6 @@ def count_bruteforce(g: BipartiteGraph) -> int:
 
 def count_ryser(g: BipartiteGraph) -> int:
     """Count perfect matchings as the permanent of the adjacency matrix."""
-    if g.n > RYSER_MAX_N:
-        raise ValueError(f"Ryser is guarded at n <= {RYSER_MAX_N}")
     return kernels.ryser_permanent(g.matrix())
 
 

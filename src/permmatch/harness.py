@@ -109,6 +109,11 @@ def _instance_counts(g: BipartiteGraph) -> tuple[dict, dict]:
 def verify(g: BipartiteGraph) -> VerificationReport:
     """Run every in-guard counting method on g and compare."""
     counts, elapsed = _instance_counts(g)
+    if not counts:
+        raise ValueError(
+            f"no counting method is in guard at n={g.n}: cvmp n <= {CVMP_MAX_N}, "
+            f"brute force n <= {BRUTEFORCE_MAX_N}, Ryser n <= {RYSER_MAX_N}"
+        )
     values = [v for v in counts.values() if v is not None]
     return VerificationReport(
         n=g.n,
@@ -142,6 +147,8 @@ def sweep(
     elif mode == "random":
         if trials is None or seed is None:
             raise ValueError("random sweeps need trials and seed")
+        if trials < 1:
+            raise ValueError(f"random sweeps need trials >= 1, got {trials}")
         graphs = (random_graph(n, SWEEP_DENSITY, seed + t) for t in range(trials))
     else:
         raise ValueError(f"unknown sweep mode {mode!r}")

@@ -1,175 +1,117 @@
-"""Hot counting kernels with a numba fast path and a numpy fallback.
+"""Numpy Ryser and subset-mask kernels.
 
 Two kernels live here:
 
 * subset-mask counting: how many of a batch of edge bitmasks are contained
-  in a graph's edge bitmask (used for path qualification and sweeps);
-* Ryser's inclusion-exclusion permanent with Gray-code subset iteration.
+  in a graph's edge bitmask (used for path qualification);
+* Ryser's inclusion-exclusion permanent of a square 0/1 matrix,
 
-Set PERMMATCH_NO_NUMBA=1 to force the numpy/pure-Python fallback; the
-dispatchers also fall back automatically if numba is unavailable.  Results
-are exact on every path: the int64 kernels are only used where the Ryser
-partial sums provably fit (n <= 12 for 0/1 matrices); larger n goes through
-arbitrary-precision Python integers.
+      perm(A) = (-1)^n * sum over column sets S of (-1)^|S| * prod_i rowsum_S(i).
+
+Ryser is evaluated exactly for n <= RYSER_MAX_N without arbitrary-precision
+arithmetic.  For a 0/1 matrix 0 <= perm(A) <= n!, so it suffices to know
+perm(A) modulo any M > n!.  Products and sums run in uint64 and wrap, which
+yields perm(A) mod 2^64; that is the answer itself for n <= 20 because
+20! < 2^63.  For 21 <= n <= 24 the kernel also accumulates the sum modulo the
+prime P = 2^31 - 1, reducing after every multiplication so nothing wraps,
+and combines the two residues by the Chinese remainder theorem.  That is
+exact because 24! < 2^64 * P.
+
+Subsets of the low _CHUNK_BITS columns are enumerated once as a table of
+row sums; a Python loop walks the subsets of the remaining columns and adds
+their row sums to the table, so each step works on 2^_CHUNK_BITS rows
+whatever n is.
 """
 
 from __future__ import annotations
 
-import os
+from functools import lru_cache
 
 import numpy as np
 
-_DISABLED = os.environ.get("PERMMATCH_NO_NUMBA", "").lower() in ("1", "true", "yes")
+# Read by the perfbench environment stamp; there is no compiled path.
+NUMBA_AVAILABLE = False
 
-if not _DISABLED:
-    try:
-        import numba
-    except ImportError:  # pragma: no cover
-        numba = None
-else:
-    numba = None
+RYSER_MAX_N = 24
 
-NUMBA_AVAILABLE = numba is not None
-
-# Partial Ryser sums are bounded by 2^n * n^n; for n <= 12 that is < 2^63.
-INT64_SAFE_N = 12
-
-_U64_ALL = np.uint64(0xFFFFFFFFFFFFFFFF)
+_CHUNK_BITS = 10  # columns enumerated per table: 1024 subsets
+_WRAP_EXACT_N = 20  # n! < 2^63, so the uint64 residue is the permanent
+_P = 2**31 - 1
+_P_U64 = np.uint64(_P)
+_U64_MOD = 1 << 64
+_MINUS_ONE_U64 = np.uint64(_U64_MOD - 1)
 
 
 # ---------------------------------------------------------------------------
 # subset-mask counting
 
-def count_subset_masks_numpy(masks: np.ndarray, gmask: int) -> int:
-    g = np.uint64(gmask)
-    return int(np.count_nonzero((masks & g) == masks))
-
-
-if NUMBA_AVAILABLE:
-
-    @numba.njit(cache=True)
-    def _count_subset_masks_nb(masks, gmask):
-        c = 0
-        for m in masks:
-            if m & gmask == m:
-                c += 1
-        return c
-
-    def count_subset_masks_numba(masks: np.ndarray, gmask: int) -> int:
-        return int(_count_subset_masks_nb(masks, np.uint64(gmask)))
-
-else:
-    count_subset_masks_numba = None
-
-
 def count_subset_masks(masks: np.ndarray, gmask: int) -> int:
     """Number of entries of `masks` (uint64) that are bit-subsets of gmask."""
-    if NUMBA_AVAILABLE:
-        return count_subset_masks_numba(masks, gmask)
-    return count_subset_masks_numpy(masks, gmask)
+    g = np.uint64(gmask)
+    return int(np.count_nonzero((masks & g) == masks))
 
 
 # ---------------------------------------------------------------------------
 # Ryser permanent
 
-def ryser_permanent_bigint(a) -> int:
-    """Gray-code Ryser over Python ints; exact for any size."""
-    n = len(a)
-    rowsum = [0] * n
-    total = 0
-    prev = 0
-    size = 0
-    for j in range(1, 1 << n):
-        g = j ^ (j >> 1)
-        diff = g ^ prev
-        col = diff.bit_length() - 1
-        if g & diff:
-            size += 1
-            for v in range(n):
-                rowsum[v] += a[v][col]
-        else:
-            size -= 1
-            for v in range(n):
-                rowsum[v] -= a[v][col]
-        prev = g
-        prod = 1
-        for s in rowsum:
-            prod *= s
-            if prod == 0:
-                break
-        if (n - size) % 2 == 0:
-            total += prod
-        else:
-            total -= prod
-    return total
+@lru_cache(maxsize=None)
+def _subsets(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bit table (2^m, m) of every subset of m columns, and its signs.
+
+    The sign of a subset is (-1)^|S| as a uint64, so a dot product with it
+    is the signed sum modulo 2^64.  Cached (m <= 14) because sweeps call the
+    kernel tens of thousands of times at small n; the arrays are read-only.
+    """
+    idx = np.arange(1 << m, dtype=np.uint64)
+    bits = (idx[:, None] >> np.arange(m, dtype=np.uint64)) & np.uint64(1)
+    odd = bits.sum(axis=1, dtype=np.uint64) & np.uint64(1)
+    signs = np.where(odd == 1, _MINUS_ONE_U64, np.uint64(1))
+    bits.flags.writeable = signs.flags.writeable = False
+    return bits, signs
 
 
-def ryser_permanent_numpy(a: np.ndarray) -> int:
-    """Vectorized Ryser; requires n <= INT64_SAFE_N so int64 cannot overflow."""
-    a = np.asarray(a, dtype=np.int64)
-    n = a.shape[0]
-    if n > INT64_SAFE_N:
-        raise ValueError(f"numpy kernel limited to n <= {INT64_SAFE_N}")
-    idx = np.arange(1, 1 << n, dtype=np.int64)
-    bits = (idx[:, None] >> np.arange(n)) & 1  # (2^n - 1, n)
-    rowsums = bits @ a.T
-    prods = rowsums.prod(axis=1)
-    sizes = bits.sum(axis=1)
-    signs = np.where((n - sizes) % 2 == 0, 1, -1)
-    return int((signs * prods).sum())
-
-
-if NUMBA_AVAILABLE:
-
-    @numba.njit(cache=True)
-    def _ryser_nb(a):
-        n = a.shape[0]
-        rowsum = np.zeros(n, np.int64)
-        total = 0
-        prev = 0
-        size = 0
-        for j in range(1, 1 << n):
-            g = j ^ (j >> 1)
-            diff = g ^ prev
-            col = 0
-            while (diff >> col) & 1 == 0:
-                col += 1
-            if g & diff != 0:
-                size += 1
-                for v in range(n):
-                    rowsum[v] += a[v, col]
-            else:
-                size -= 1
-                for v in range(n):
-                    rowsum[v] -= a[v, col]
-            prev = g
-            prod = 1
-            for v in range(n):
-                prod *= rowsum[v]
-                if prod == 0:
-                    break
-            if (n - size) % 2 == 0:
-                total += prod
-            else:
-                total -= prod
-        return total
-
-    def ryser_permanent_numba(a: np.ndarray) -> int:
-        a = np.ascontiguousarray(a, dtype=np.int64)
-        if a.shape[0] > INT64_SAFE_N:
-            raise ValueError(f"numba kernel limited to n <= {INT64_SAFE_N}")
-        return int(_ryser_nb(a))
-
-else:
-    ryser_permanent_numba = None
+def _signed(x) -> int:
+    """A uint64 dot product reinterpreted as a small signed integer."""
+    x = int(x)
+    return x - _U64_MOD if x >= _U64_MOD // 2 else x
 
 
 def ryser_permanent(a) -> int:
-    """Permanent of a square 0/1 matrix, exact."""
-    mat = np.asarray(a, dtype=np.int64)
+    """Permanent of a square 0/1 matrix, exact for n <= RYSER_MAX_N."""
+    mat = np.asarray(a)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"Ryser needs a square matrix, got shape {mat.shape}")
+    if not (mat.astype(bool) == mat).all():
+        raise ValueError("Ryser is exact only for 0/1 entries")
     n = mat.shape[0]
-    if n > INT64_SAFE_N:
-        return ryser_permanent_bigint(mat.tolist())
-    if NUMBA_AVAILABLE:
-        return ryser_permanent_numba(mat)
-    return ryser_permanent_numpy(mat)
+    if n > RYSER_MAX_N:
+        raise ValueError(f"Ryser is guarded at n <= {RYSER_MAX_N}")
+    mat = mat.astype(np.uint64)
+    need_prime = n > _WRAP_EXACT_N
+
+    k = min(n, _CHUNK_BITS)
+    low_bits, low_signs = _subsets(k)
+    high_bits, high_signs = _subsets(n - k)
+    low = low_bits @ mat[:, :k].T  # (2^k, n) row sums of the low subsets
+    high = high_bits @ mat[:, k:].T  # (2^(n-k), n) row sums of the high ones
+
+    wrapped = 0
+    residue = 0
+    for sums, sign in zip(high, high_signs):
+        rows = low + sums
+        term = int(np.dot(rows.prod(axis=1), low_signs))
+        wrapped += term if sign == 1 else -term
+        if need_prime:
+            prods = np.ones(rows.shape[0], dtype=np.uint64)
+            for col in rows.T:
+                prods = prods * col % _P_U64
+            term = _signed(np.dot(prods, low_signs))
+            residue += term if sign == 1 else -term
+    if n % 2:
+        wrapped, residue = -wrapped, -residue
+    wrapped %= _U64_MOD
+    if not need_prime:
+        return wrapped
+    # perm = wrapped + 2^64 * t with 0 <= t < P, fixed by perm mod P.
+    t = (residue - wrapped) * pow(_U64_MOD, -1, _P) % _P
+    return wrapped + _U64_MOD * t

@@ -197,6 +197,20 @@ class TestCli:
     def test_gen_bad_density(self, capsys):
         assert main(["gen", "--n", "3", "--density", "2", "--seed", "0"]) == 2
 
+    def test_verify_past_every_guard_exits_2(self, tmp_path, capsys):
+        path = self.write_graph(tmp_path, "25\n" + ("1" * 25 + "\n") * 25)
+        assert main(["verify", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: no counting method is in guard at n=25" in captured.err
+        assert "Ryser n <= 24" in captured.err
+
+    def test_sweep_zero_trials_exits_2(self, capsys):
+        assert main(["sweep", "--n", "4", "--trials", "0", "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: random sweeps need trials >= 1" in captured.err
+
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--n", "3"])
