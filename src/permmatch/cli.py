@@ -1,8 +1,10 @@
 """Command-line entry point.
 
 Exit status contract: 0 = all counts agree, 1 = counting mismatch found,
-2 = usage or parse error.  Reports go to stdout as JSON with fixed key
-order; diagnostics go to stderr.
+2 = usage or parse error, or a `verify` with fewer than two counting methods
+in guard (cvmp and brute force reach n <= 9, Ryser n <= 24), which would
+compare nothing.  Reports go to stdout as JSON with fixed key order;
+diagnostics go to stderr.
 """
 
 from __future__ import annotations

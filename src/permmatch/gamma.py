@@ -241,12 +241,14 @@ def enumerate_cvmps(gamma: GammaGraph):
     yield from rec(n, Permutation.identity(n), [])
 
 
+def _consumed_edges(path: Cvmp) -> frozenset:
+    return frozenset(x.consumed_edge for x in path.nodes if not x.is_identity)
+
+
 def surplus_edges(path: Cvmp) -> frozenset:
     """Consumed edges of all transposition nodes of a valid path."""
     validate_path(path)
-    return frozenset(
-        x.consumed_edge for x in path.nodes if x.consumed_edge is not None
-    )
+    return _consumed_edges(path)
 
 
 def surplus_attribution(path: Cvmp) -> dict:
@@ -275,7 +277,7 @@ def path_to_matching(path: Cvmp) -> Matching:
     union = set()
     for x in path.nodes:
         union |= x.node_edges
-    pairs = union - set(surplus_edges(path))
+    pairs = union - _consumed_edges(path)
     return Matching(path.n, frozenset(pairs))
 
 

@@ -1,21 +1,19 @@
 """Verification harness: path-qualification counting, cross-checks, sweeps.
 
-`count_via_cvmp` counts perfect matchings by qualifying every valid path of
-the generating graph against the instance (empty edge requirement).  The
-harness compares that count against the brute-force and Ryser oracles; a
-disagreement is a first-class outcome and gets embedded, with the full graph
-text, in the report so it can be replayed.
+`count_via_cvmp` counts perfect matchings the paper's way: it walks the
+valid paths of the generating graph level by level in sift order and counts
+those whose edge requirement against the instance is empty, pruning every
+prefix whose requirement is already non-empty.  The harness compares that
+count against the brute-force and Ryser oracles; a disagreement is a
+first-class outcome and gets embedded, with the full graph text, in the
+report so it can be replayed.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
-from . import kernels
 from .bipartite import (
     BRUTEFORCE_MAX_N,
     RYSER_MAX_N,
@@ -25,30 +23,44 @@ from .bipartite import (
     random_graph,
     serialize_graph,
 )
-from .gamma import GammaGraph, build_gamma, enumerate_cvmps, path_to_matching
+from .gamma import ENUMERATE_MAX_N, GammaGraph, build_gamma, enumerate_cvmps
 
-CVMP_MAX_N = 7
+CVMP_MAX_N = BRUTEFORCE_MAX_N
 EXHAUSTIVE_MAX_N = 4
 SWEEP_DENSITY = 0.5
 
 
-@lru_cache(maxsize=None)
-def _qualification_masks(n: int) -> np.ndarray:
-    """Edge bitmask of every valid path's matching, in enumeration order.
-
-    Depends only on n, so it is computed once and shared; qualifying a path
-    against a graph is then a single subset test on packed bits.
-    """
-    gamma = build_gamma(n)
-    masks = [path_to_matching(p).mask for p in enumerate_cvmps(gamma)]
-    return np.array(masks, dtype=np.uint64)
-
-
 def count_via_cvmp(g: BipartiteGraph) -> int:
-    """Number of valid paths whose edge requirement against g is empty."""
+    """Number of valid paths whose edge requirement against g is empty.
+
+    A valid path picks psi_j = (j, k), k >= j, at each chain level j and
+    multiplies out to q(v) = psi_1(...psi_n(v)).  Levels above j fix every
+    v <= j, so once psi_1..psi_j are chosen q(v) = psi_1(...psi_j(v)) is
+    final for v <= j: the prefix already requires edge (j, q(j)), and when g
+    lacks it the whole subtree has a non-empty edge requirement and is
+    pruned.  The columns still open at level j are the images of j..n under
+    psi_1...psi_(j-1), held as a bitmask; choosing column c = q(j) is
+    choosing psi_j, and removes c for the levels below.  Each leaf is one
+    valid path with an empty requirement, so the count is exact, with n!
+    leaves in the worst case (K_{n,n}).
+    """
     if g.n > CVMP_MAX_N:
         raise ValueError(f"path counting is guarded at n <= {CVMP_MAX_N}")
-    return kernels.count_subset_masks(_qualification_masks(g.n), g.mask)
+    rows = g.rows
+    last = g.n - 1
+
+    def walk(j: int, free: int) -> int:  # rows[j] is level j + 1
+        if j == last:
+            return 1 if rows[j] & free else 0
+        total = 0
+        open_cols = rows[j] & free
+        while open_cols:
+            c = open_cols & -open_cols
+            open_cols ^= c
+            total += walk(j + 1, free ^ c)
+        return total
+
+    return walk(0, (1 << g.n) - 1)
 
 
 @dataclass
@@ -91,37 +103,43 @@ class VerificationReport:
 def _instance_counts(g: BipartiteGraph) -> tuple[dict, dict]:
     counts = {}
     elapsed = {}
-    if g.n <= CVMP_MAX_N:
-        t0 = time.perf_counter()
-        counts["count_cvmp"] = count_via_cvmp(g)
-        elapsed["cvmp"] = time.perf_counter() - t0
-    if g.n <= BRUTEFORCE_MAX_N:
-        t0 = time.perf_counter()
-        counts["count_bruteforce"] = count_bruteforce(g)
-        elapsed["bruteforce"] = time.perf_counter() - t0
-    if g.n <= RYSER_MAX_N:
-        t0 = time.perf_counter()
-        counts["count_ryser"] = count_ryser(g)
-        elapsed["ryser"] = time.perf_counter() - t0
+    for name, limit, count in (
+        ("cvmp", CVMP_MAX_N, count_via_cvmp),
+        ("bruteforce", BRUTEFORCE_MAX_N, count_bruteforce),
+        ("ryser", RYSER_MAX_N, count_ryser),
+    ):
+        if g.n <= limit:
+            t0 = time.perf_counter()
+            counts["count_" + name] = count(g)
+            elapsed[name] = time.perf_counter() - t0
     return counts, elapsed
 
 
 def verify(g: BipartiteGraph) -> VerificationReport:
-    """Run every in-guard counting method on g and compare."""
+    """Run every in-guard counting method on g and compare.
+
+    Raises ValueError when fewer than two methods are in guard, since an
+    agreement between fewer than two counts would check nothing.
+    """
     counts, elapsed = _instance_counts(g)
-    if not counts:
-        raise ValueError(
-            f"no counting method is in guard at n={g.n}: cvmp n <= {CVMP_MAX_N}, "
-            f"brute force n <= {BRUTEFORCE_MAX_N}, Ryser n <= {RYSER_MAX_N}"
+    if len(counts) < 2:
+        guards = (
+            f"cvmp n <= {CVMP_MAX_N}, brute force n <= {BRUTEFORCE_MAX_N}, "
+            f"Ryser n <= {RYSER_MAX_N}"
         )
-    values = [v for v in counts.values() if v is not None]
+        if not counts:
+            raise ValueError(f"no counting method is in guard at n={g.n}: {guards}")
+        raise ValueError(
+            f"only one counting method is in guard at n={g.n} ({guards}) and "
+            f"verify needs two to compare; use `count --method ryser` for the count"
+        )
     return VerificationReport(
         n=g.n,
         graph=serialize_graph(g),
         count_cvmp=counts.get("count_cvmp"),
         count_bruteforce=counts.get("count_bruteforce"),
         count_ryser=counts.get("count_ryser"),
-        agreement=len(set(values)) <= 1,
+        agreement=len(set(counts.values())) == 1,
         elapsed=elapsed,
     )
 
@@ -192,14 +210,7 @@ class StructureDiagnostics:
     unconstrained_walks: int
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "node_count": self.node_count,
-            "r_edge_count": self.r_edge_count,
-            "s_edge_count": self.s_edge_count,
-            "valid_paths": self.valid_paths,
-            "unconstrained_walks": self.unconstrained_walks,
-        }
+        return asdict(self)
 
 
 def unconstrained_walk_count(gamma: GammaGraph) -> int:
@@ -220,10 +231,7 @@ def unconstrained_walk_count(gamma: GammaGraph) -> int:
 
 def gamma_stats(n: int) -> StructureDiagnostics:
     gamma = build_gamma(n)
-    if n <= CVMP_MAX_N:
-        valid = sum(1 for _ in enumerate_cvmps(gamma))
-    else:
-        valid = None
+    valid = sum(1 for _ in enumerate_cvmps(gamma)) if n <= ENUMERATE_MAX_N else None
     return StructureDiagnostics(
         n=n,
         node_count=len(gamma.nodes),

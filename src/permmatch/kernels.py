@@ -1,10 +1,5 @@
-"""Numpy Ryser and subset-mask kernels.
-
-Two kernels live here:
-
-* subset-mask counting: how many of a batch of edge bitmasks are contained
-  in a graph's edge bitmask (used for path qualification);
-* Ryser's inclusion-exclusion permanent of a square 0/1 matrix,
+"""Numpy Ryser kernel: the permanent of a square 0/1 matrix by Ryser's
+inclusion-exclusion formula,
 
       perm(A) = (-1)^n * sum over column sets S of (-1)^|S| * prod_i rowsum_S(i).
 
@@ -41,18 +36,6 @@ _P_U64 = np.uint64(_P)
 _U64_MOD = 1 << 64
 _MINUS_ONE_U64 = np.uint64(_U64_MOD - 1)
 
-
-# ---------------------------------------------------------------------------
-# subset-mask counting
-
-def count_subset_masks(masks: np.ndarray, gmask: int) -> int:
-    """Number of entries of `masks` (uint64) that are bit-subsets of gmask."""
-    g = np.uint64(gmask)
-    return int(np.count_nonzero((masks & g) == masks))
-
-
-# ---------------------------------------------------------------------------
-# Ryser permanent
 
 @lru_cache(maxsize=None)
 def _subsets(m: int) -> tuple[np.ndarray, np.ndarray]:

@@ -167,6 +167,22 @@ class TestPathMatching:
     def test_identity_matching_is_diagonal(self):
         assert path_to_matching(identity_path(3)).pairs == {(1, 1), (2, 2), (3, 3)}
 
+    def test_validates_once(self, monkeypatch):
+        import permmatch.gamma as gamma
+
+        calls = []
+        real = gamma.validate_path
+
+        def counting(path):
+            calls.append(path)
+            return real(path)
+
+        monkeypatch.setattr(gamma, "validate_path", counting)
+        paths = list(enumerate_cvmps(build_gamma(4)))
+        for p in paths:
+            path_to_matching(p)
+        assert len(calls) == len(paths) == 24
+
     def test_equals_perm_matching_exhaustive(self):
         for n in range(2, 6):
             for p in enumerate_cvmps(build_gamma(n)):

@@ -2,13 +2,18 @@
 
 import json
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permmatch import (
     BipartiteGraph,
     count_ryser,
     count_via_cvmp,
+    edge_requirement,
+    enumerate_cvmps,
     gamma_stats,
     random_graph,
     serialize_graph,
@@ -18,6 +23,23 @@ from permmatch import (
 from permmatch.cli import main
 from permmatch.harness import unconstrained_walk_count
 from permmatch.gamma import build_gamma
+
+
+def shuffled(n, missing, seed):
+    """J_n minus the cells (v, w) with (w - v) % n in `missing`, with rows
+    and columns shuffled: missing () is J, (0,) is J-I, (0, 1) is J-I-P."""
+    rnd = random.Random(seed)
+    rows, cols = rnd.sample(range(n), n), rnd.sample(range(n), n)
+    return BipartiteGraph.from_matrix(
+        [[int((w - v) % n not in missing) for w in cols] for v in rows]
+    )
+
+
+square_01 = st.integers(1, 7).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=n, max_size=n
+    )
+)
 
 
 class TestCountViaCvmp:
@@ -35,7 +57,52 @@ class TestCountViaCvmp:
 
     def test_guard(self):
         with pytest.raises(ValueError):
-            count_via_cvmp(BipartiteGraph.complete(8))
+            count_via_cvmp(BipartiteGraph.complete(10))
+
+    def test_matches_paper_definition(self):
+        # paths qualified through the generating graph, independent of the walk
+        def qualified(g, paths):
+            return sum(1 for p in paths if not edge_requirement(p, g))
+
+        paths = list(enumerate_cvmps(build_gamma(3)))
+        for mask in range(1 << 9):
+            g = BipartiteGraph.from_mask(3, mask)
+            assert count_via_cvmp(g) == qualified(g, paths), mask
+        for n in (4, 5):
+            paths = list(enumerate_cvmps(build_gamma(n)))
+            for density in (0.3, 0.5, 0.8):
+                for seed in range(10):
+                    g = random_graph(n, density, 600 + seed)
+                    assert count_via_cvmp(g) == qualified(g, paths), (n, density, seed)
+
+    @pytest.mark.parametrize(
+        "missing, n, expected",
+        [
+            ((), 8, 40320),
+            ((), 9, 362880),
+            ((0,), 8, 14833),
+            ((0,), 9, 133496),
+            ((0, 1), 8, 4738),
+            ((0, 1), 9, 43387),
+        ],
+    )
+    def test_closed_forms_past_old_guard(self, missing, n, expected):
+        # n!, derangements and menage numbers
+        assert count_via_cvmp(shuffled(n, missing, seed=n)) == expected
+
+    @settings(max_examples=50, deadline=None)
+    @given(square_01, st.randoms(use_true_random=False))
+    def test_invariant_under_permutation_and_transpose(self, rows, rnd):
+        n = len(rows)
+        expected = count_via_cvmp(BipartiteGraph.from_matrix(rows))
+        order = rnd.sample(range(n), n)
+        variants = (
+            [rows[v] for v in order],
+            [[row[w] for w in order] for row in rows],
+            [list(col) for col in zip(*rows)],
+        )
+        for variant in variants:
+            assert count_via_cvmp(BipartiteGraph.from_matrix(variant)) == expected
 
 
 class TestVerify:
@@ -44,6 +111,11 @@ class TestVerify:
         assert report.agreement
         assert report.count_cvmp == report.count_bruteforce == report.count_ryser == 6
         assert set(report.elapsed) == {"cvmp", "bruteforce", "ryser"}
+
+    def test_complete_9_by_all_three(self):
+        report = verify(BipartiteGraph.complete(9))
+        assert report.count_cvmp == report.count_bruteforce == report.count_ryser == 362880
+        assert report.agreement
 
     def test_embeds_reproducible_graph(self):
         g = random_graph(4, 0.5, 17)
@@ -204,6 +276,19 @@ class TestCli:
         assert captured.out == ""
         assert "error: no counting method is in guard at n=25" in captured.err
         assert "Ryser n <= 24" in captured.err
+
+    def test_verify_with_only_ryser_in_guard_exits_2(self, tmp_path, capsys):
+        path = self.write_graph(tmp_path, serialize_graph(random_graph(12, 0.5, 1)))
+        assert main(["verify", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: only one counting method is in guard at n=12" in captured.err
+        assert "cvmp n <= 9, brute force n <= 9, Ryser n <= 24" in captured.err
+        assert "count --method ryser" in captured.err
+
+    def test_gamma_stats_past_enumeration_guard(self, capsys):
+        assert main(["gamma", "--n", "8", "--stats"]) == 0
+        assert json.loads(capsys.readouterr().out)["valid_paths"] is None
 
     def test_sweep_zero_trials_exits_2(self, capsys):
         assert main(["sweep", "--n", "4", "--trials", "0", "--seed", "1"]) == 2

@@ -11,18 +11,6 @@ from hypothesis import strategies as st
 from permmatch import BipartiteGraph, count_ryser, kernels
 
 
-class TestSubsetMasks:
-    def test_numpy_basics(self):
-        masks = np.array([0b0011, 0b0101, 0b1111], dtype=np.uint64)
-        assert kernels.count_subset_masks(masks, 0b0111) == 2
-        assert kernels.count_subset_masks(masks, 0b1111) == 3
-        assert kernels.count_subset_masks(masks, 0) == 0
-
-    def test_zero_mask_always_subset(self):
-        masks = np.array([0], dtype=np.uint64)
-        assert kernels.count_subset_masks(masks, 0) == 1
-
-
 def brute_permanent(a):
     n = len(a)
     total = 0
