@@ -12,7 +12,7 @@ report so it can be replayed.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from .bipartite import (
     BRUTEFORCE_MAX_N,
@@ -26,6 +26,7 @@ from .bipartite import (
 from .gamma import ENUMERATE_MAX_N, GammaGraph, build_gamma, enumerate_cvmps
 
 CVMP_MAX_N = BRUTEFORCE_MAX_N
+SWEEP_MAX_N = 7
 EXHAUSTIVE_MAX_N = 4
 SWEEP_DENSITY = 0.5
 
@@ -103,15 +104,18 @@ class VerificationReport:
 def _instance_counts(g: BipartiteGraph) -> tuple[dict, dict]:
     counts = {}
     elapsed = {}
-    for name, limit, count in (
-        ("cvmp", CVMP_MAX_N, count_via_cvmp),
-        ("bruteforce", BRUTEFORCE_MAX_N, count_bruteforce),
-        ("ryser", RYSER_MAX_N, count_ryser),
-    ):
-        if g.n <= limit:
-            t0 = time.perf_counter()
-            counts["count_" + name] = count(g)
-            elapsed[name] = time.perf_counter() - t0
+    if g.n <= CVMP_MAX_N:
+        t0 = time.perf_counter()
+        counts["count_cvmp"] = count_via_cvmp(g)
+        elapsed["cvmp"] = time.perf_counter() - t0
+    if g.n <= BRUTEFORCE_MAX_N:
+        t0 = time.perf_counter()
+        counts["count_bruteforce"] = count_bruteforce(g)
+        elapsed["bruteforce"] = time.perf_counter() - t0
+    if g.n <= RYSER_MAX_N:
+        t0 = time.perf_counter()
+        counts["count_ryser"] = count_ryser(g)
+        elapsed["ryser"] = time.perf_counter() - t0
     return counts, elapsed
 
 
@@ -156,8 +160,8 @@ def sweep(
     `trials` seeded half-density instances.  Mismatching instances are
     embedded verbatim so a failure is always reproducible.
     """
-    if n > CVMP_MAX_N:
-        raise ValueError(f"sweeps are guarded at n <= {CVMP_MAX_N}")
+    if n > SWEEP_MAX_N:
+        raise ValueError(f"sweeps are guarded at n <= {SWEEP_MAX_N}")
     if mode == "exhaustive":
         if n > EXHAUSTIVE_MAX_N:
             raise ValueError(f"exhaustive sweeps are guarded at n <= {EXHAUSTIVE_MAX_N}")
@@ -210,7 +214,14 @@ class StructureDiagnostics:
     unconstrained_walks: int
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "n": self.n,
+            "node_count": self.node_count,
+            "r_edge_count": self.r_edge_count,
+            "s_edge_count": self.s_edge_count,
+            "valid_paths": self.valid_paths,
+            "unconstrained_walks": self.unconstrained_walks,
+        }
 
 
 def unconstrained_walk_count(gamma: GammaGraph) -> int:
@@ -231,7 +242,10 @@ def unconstrained_walk_count(gamma: GammaGraph) -> int:
 
 def gamma_stats(n: int) -> StructureDiagnostics:
     gamma = build_gamma(n)
-    valid = sum(1 for _ in enumerate_cvmps(gamma)) if n <= ENUMERATE_MAX_N else None
+    if n <= ENUMERATE_MAX_N:
+        valid = sum(1 for _ in enumerate_cvmps(gamma))
+    else:
+        valid = None
     return StructureDiagnostics(
         n=n,
         node_count=len(gamma.nodes),

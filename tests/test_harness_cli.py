@@ -23,6 +23,7 @@ from permmatch import (
 from permmatch.cli import main
 from permmatch.harness import unconstrained_walk_count
 from permmatch.gamma import build_gamma
+from relabel import assert_relabel_invariant, square_01
 
 
 def shuffled(n, missing, seed):
@@ -33,13 +34,6 @@ def shuffled(n, missing, seed):
     return BipartiteGraph.from_matrix(
         [[int((w - v) % n not in missing) for w in cols] for v in rows]
     )
-
-
-square_01 = st.integers(1, 7).flatmap(
-    lambda n: st.lists(
-        st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=n, max_size=n
-    )
-)
 
 
 class TestCountViaCvmp:
@@ -93,16 +87,7 @@ class TestCountViaCvmp:
     @settings(max_examples=50, deadline=None)
     @given(square_01, st.randoms(use_true_random=False))
     def test_invariant_under_permutation_and_transpose(self, rows, rnd):
-        n = len(rows)
-        expected = count_via_cvmp(BipartiteGraph.from_matrix(rows))
-        order = rnd.sample(range(n), n)
-        variants = (
-            [rows[v] for v in order],
-            [[row[w] for w in order] for row in rows],
-            [list(col) for col in zip(*rows)],
-        )
-        for variant in variants:
-            assert count_via_cvmp(BipartiteGraph.from_matrix(variant)) == expected
+        assert_relabel_invariant(count_via_cvmp, rows, rnd)
 
 
 class TestVerify:
@@ -159,6 +144,11 @@ class TestSweep:
     def test_exhaustive_guard(self):
         with pytest.raises(ValueError):
             sweep(5, "exhaustive")
+
+    def test_random_guard_stays_below_path_counting(self):
+        # path counting reaches n = 9, but a random sweep stops at 7
+        with pytest.raises(ValueError, match="n <= 7"):
+            sweep(8, "random", trials=1, seed=1)
 
 
 class TestStructureDiagnostics:

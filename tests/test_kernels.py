@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permmatch import BipartiteGraph, count_ryser, kernels
+from permmatch import count_ryser, kernels
+from relabel import assert_relabel_invariant, square_01
 
 
 def brute_permanent(a):
@@ -27,13 +28,6 @@ def derangements(n):
     for k in range(2, n + 1):
         d.append((k - 1) * (d[-1] + d[-2]))
     return d[n]
-
-
-square_01 = st.integers(1, 7).flatmap(
-    lambda n: st.lists(
-        st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=n, max_size=n
-    )
-)
 
 
 class TestRyser:
@@ -72,13 +66,4 @@ class TestRyser:
     @settings(max_examples=50, deadline=None)
     @given(square_01, st.randoms(use_true_random=False))
     def test_invariant_under_permutation_and_transpose(self, rows, rnd):
-        n = len(rows)
-        expected = count_ryser(BipartiteGraph.from_matrix(rows))
-        order = rnd.sample(range(n), n)
-        variants = (
-            [rows[v] for v in order],
-            [[row[w] for w in order] for row in rows],
-            [list(col) for col in zip(*rows)],
-        )
-        for variant in variants:
-            assert count_ryser(BipartiteGraph.from_matrix(variant)) == expected
+        assert_relabel_invariant(count_ryser, rows, rnd)
