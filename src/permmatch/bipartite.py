@@ -77,7 +77,7 @@ class BipartiteGraph:
 
     @classmethod
     def from_mask(cls, n: int, mask: int) -> "BipartiteGraph":
-        """Inverse of `mask`: bit (v-1)*n + (w-1) set iff edge v-w present."""
+        """Graph with edge v-w iff bit (v-1)*n + (w-1) of `mask` is set."""
         full = (1 << n) - 1
         return cls(n, [(mask >> ((v - 1) * n)) & full for v in range(1, n + 1)])
 
@@ -92,14 +92,6 @@ class BipartiteGraph:
             for w in range(1, self.n + 1)
             if self.has_edge(v, w)
         )
-
-    @property
-    def mask(self) -> int:
-        """All edges packed into one integer, bit (v-1)*n + (w-1)."""
-        m = 0
-        for v, r in enumerate(self.rows):
-            m |= r << (v * self.n)
-        return m
 
     def matrix(self) -> np.ndarray:
         a = np.zeros((self.n, self.n), dtype=np.int64)
@@ -145,13 +137,6 @@ class Matching:
     @property
     def is_perfect(self) -> bool:
         return len(self.pairs) == self.n
-
-    @property
-    def mask(self) -> int:
-        m = 0
-        for v, w in self.pairs:
-            m |= 1 << ((v - 1) * self.n + (w - 1))
-        return m
 
 
 def perm_to_matching(p: Permutation) -> Matching:

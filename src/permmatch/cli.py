@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Exit status contract: 0 = all counts agree, 1 = counting mismatch found,
-2 = usage or parse error, or a `verify` with fewer than two counting methods
-in guard (cvmp and brute force reach n <= 9, Ryser n <= 24), which would
+2 = usage or parse error.  `verify` counts by all three methods (cvmp, brute
+force, Ryser) at n <= 9 and refuses n > 9, before counting anything, with
+exit status 2: past n = 9 only Ryser reaches (n <= 24), and one count would
 compare nothing.  Reports go to stdout as JSON with fixed key order;
 diagnostics go to stderr.
 """
@@ -14,7 +15,7 @@ import json
 import sys
 
 from . import bipartite, gamma, harness
-from .perms import Transposition, parse_cycles
+from .perms import parse_cycles, sift
 
 
 def _read_graph(path: str) -> bipartite.BipartiteGraph:
@@ -53,8 +54,6 @@ def _cmd_gamma(args) -> int:
 
 def _cmd_factorize(args) -> int:
     p = parse_cycles(args.cycles, args.n)
-    from .perms import sift
-
     factors = sift(p)
     path = gamma.perm_to_path(p)
     print("*".join(str(psi) for psi in reversed(factors)))

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bipartite import BipartiteGraph, Matching
-from .perms import Permutation, Transposition, compose, sift, unsift
+from .perms import Permutation, Transposition, compose, sift, suffix_products
 
 BUILD_MAX_N = 12
 ENUMERATE_MAX_N = 7
@@ -111,9 +111,12 @@ class Cvmp:
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
+        n = len(self.nodes)
         for i, x in enumerate(self.nodes, start=1):
             if x.position != i:
                 raise ValueError(f"node {x} at index {i} has wrong position")
+            if max(x.k, x.t) > n:
+                raise ValueError(f"node {x} at index {i} does not fit in S_{n}")
 
     @property
     def n(self) -> int:
@@ -156,14 +159,12 @@ def build_gamma(n: int) -> GammaGraph:
     return GammaGraph(n, tuple(nodes), frozenset(r_edges), frozenset(s_edges))
 
 
-def _suffix_products(path: Cvmp) -> list:
-    """products[i-1] = psi(x_n) * ... * psi(x_i); products[n] = I."""
-    n = path.n
-    products = [None] * (n + 1)
-    products[n] = Permutation.identity(n)
-    for i in range(n, 0, -1):
-        products[i - 1] = compose(products[i], path.nodes[i - 1].psi.to_perm(n))
-    return products
+def _level_node(i: int, k: int, suffix: Permutation) -> GammaNode:
+    """The level-i node for psi_i = (i,k) under suffix = psi_n * ... * psi_(i+1).
+
+    The suffix fixes 1..i, so k = i gives the identity node (i,i,i).
+    """
+    return GammaNode(i, k, suffix.preimage(k))
 
 
 def validate_path(path: Cvmp) -> list:
@@ -171,17 +172,12 @@ def validate_path(path: Cvmp) -> list:
 
     Raises with the first (lowest) violated position.
     """
-    products = _suffix_products(path)
-    for i in range(1, path.n + 1):
-        x = path.nodes[i - 1]
-        if x.is_identity:
-            continue
-        if x.k > path.n:
-            raise ValueError(f"position {i}: node {x} does not fit in S_{path.n}")
-        want_t = products[i].preimage(x.k)
-        if x.t != want_t:
+    products = suffix_products([x.psi for x in path.nodes])
+    for i, x in enumerate(path.nodes, start=1):
+        want = _level_node(i, x.k, products[i])
+        if x != want:
             raise ValueError(
-                f"position {i}: node {x} invalid; t must be {want_t} "
+                f"position {i}: node {x} invalid; t must be {want.t} "
                 f"(preimage of {x.k} under the suffix product)"
             )
     return products
@@ -189,29 +185,19 @@ def validate_path(path: Cvmp) -> list:
 
 def path_to_perm(path: Cvmp) -> Permutation:
     """Ordered product psi(x_n) ... psi(x_1) of a valid path."""
-    validate_path(path)
-    return unsift([x.psi for x in path.nodes])
+    return validate_path(path)[0]
 
 
 def perm_to_path(q: Permutation) -> Cvmp:
     """The unique valid path multiplying out to q."""
     factors = sift(q)
-    n = q.n
-    suffix = Permutation.identity(n)
-    # Build suffix products psi_n ... psi_{i+1} from the top down.
-    suffixes = [None] * (n + 1)
-    suffixes[n] = suffix
-    for i in range(n, 0, -1):
-        suffixes[i - 1] = compose(suffixes[i], factors[i - 1].to_perm(n))
-    nodes = []
-    for i in range(1, n + 1):
-        psi = factors[i - 1]
-        if psi.is_identity:
-            nodes.append(GammaNode(i, i, i))
-        else:
-            t = suffixes[i].preimage(psi.k)
-            nodes.append(GammaNode(i, psi.k, t))
-    return Cvmp(tuple(nodes))
+    suffixes = suffix_products(factors)
+    return Cvmp(
+        tuple(
+            _level_node(i, i if psi.is_identity else psi.k, suffixes[i])
+            for i, psi in enumerate(factors, start=1)
+        )
+    )
 
 
 def enumerate_cvmps(gamma: GammaGraph):
@@ -228,14 +214,11 @@ def enumerate_cvmps(gamma: GammaGraph):
         if i == 0:
             yield Cvmp(tuple(reversed(tail)))
             return
-        tail.append(GammaNode(i, i, i))
-        yield from rec(i - 1, suffix, tail)
-        tail.pop()
-        for k in range(i + 1, n + 1):
-            t = suffix.preimage(k)
-            tail.append(GammaNode(i, k, t))
-            psi = Transposition(i, k)
-            yield from rec(i - 1, compose(suffix, psi.to_perm(n)), tail)
+        for k in range(i, n + 1):
+            node = _level_node(i, k, suffix)
+            tail.append(node)
+            below = suffix if k == i else compose(suffix, node.psi.to_perm(n))
+            yield from rec(i - 1, below, tail)
             tail.pop()
 
     yield from rec(n, Permutation.identity(n), [])

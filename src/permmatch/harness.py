@@ -12,7 +12,7 @@ report so it can be replayed.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 from .bipartite import (
     BRUTEFORCE_MAX_N,
@@ -66,83 +66,74 @@ def count_via_cvmp(g: BipartiteGraph) -> int:
 
 @dataclass
 class VerificationReport:
-    """Counts from every in-guard method for one instance or a sweep."""
+    """Counts of one graph by all three methods, and whether they agree."""
 
     n: int
-    graph: str | None = None
-    count_cvmp: int | None = None
-    count_bruteforce: int | None = None
-    count_ryser: int | None = None
-    agreement: bool = True
-    elapsed: dict = field(default_factory=dict)
-    mode: str | None = None
-    trials: int | None = None
-    seed: int | None = None
-    instances: int | None = None
-    mismatches: list = field(default_factory=list)
+    graph: str
+    count_cvmp: int
+    count_bruteforce: int
+    count_ryser: int
+    agreement: bool
+    elapsed: dict
 
     def to_dict(self) -> dict:
-        out = {"n": self.n}
-        if self.mode is None:
-            out["graph"] = self.graph
-            out["count_cvmp"] = self.count_cvmp
-            out["count_bruteforce"] = self.count_bruteforce
-            out["count_ryser"] = self.count_ryser
-            out["agreement"] = self.agreement
-            out["elapsed"] = self.elapsed
-        else:
-            out["mode"] = self.mode
-            if self.mode == "random":
-                out["trials"] = self.trials
-                out["seed"] = self.seed
-            out["instances"] = self.instances
-            out["agreement"] = self.agreement
-            out["mismatches"] = self.mismatches
-        return out
+        return asdict(self)
+
+
+@dataclass
+class SweepReport:
+    """Outcome of a sweep; trials and seed are None, and omitted, when exhaustive."""
+
+    n: int
+    mode: str
+    trials: int | None
+    seed: int | None
+    instances: int
+    agreement: bool
+    mismatches: list
+
+    def to_dict(self) -> dict:
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def _instance_counts(g: BipartiteGraph) -> tuple[dict, dict]:
+    # Built per call, so a counter rebound on this module is the one timed.
+    counters = (
+        ("cvmp", count_via_cvmp),
+        ("bruteforce", count_bruteforce),
+        ("ryser", count_ryser),
+    )
     counts = {}
     elapsed = {}
-    if g.n <= CVMP_MAX_N:
+    for name, counter in counters:
         t0 = time.perf_counter()
-        counts["count_cvmp"] = count_via_cvmp(g)
-        elapsed["cvmp"] = time.perf_counter() - t0
-    if g.n <= BRUTEFORCE_MAX_N:
-        t0 = time.perf_counter()
-        counts["count_bruteforce"] = count_bruteforce(g)
-        elapsed["bruteforce"] = time.perf_counter() - t0
-    if g.n <= RYSER_MAX_N:
-        t0 = time.perf_counter()
-        counts["count_ryser"] = count_ryser(g)
-        elapsed["ryser"] = time.perf_counter() - t0
+        counts["count_" + name] = counter(g)
+        elapsed[name] = time.perf_counter() - t0
     return counts, elapsed
 
 
 def verify(g: BipartiteGraph) -> VerificationReport:
-    """Run every in-guard counting method on g and compare.
+    """Count g by all three methods and compare.
 
-    Raises ValueError when fewer than two methods are in guard, since an
-    agreement between fewer than two counts would check nothing.
+    Raises ValueError, before counting anything, when g is past the
+    path-counting and brute-force guard: Ryser alone would compare nothing.
     """
-    counts, elapsed = _instance_counts(g)
-    if len(counts) < 2:
+    if g.n > CVMP_MAX_N:
         guards = (
             f"cvmp n <= {CVMP_MAX_N}, brute force n <= {BRUTEFORCE_MAX_N}, "
             f"Ryser n <= {RYSER_MAX_N}"
         )
-        if not counts:
+        if g.n > RYSER_MAX_N:
             raise ValueError(f"no counting method is in guard at n={g.n}: {guards}")
         raise ValueError(
             f"only one counting method is in guard at n={g.n} ({guards}) and "
             f"verify needs two to compare; use `count --method ryser` for the count"
         )
+    counts, elapsed = _instance_counts(g)
     return VerificationReport(
         n=g.n,
         graph=serialize_graph(g),
-        count_cvmp=counts.get("count_cvmp"),
-        count_bruteforce=counts.get("count_bruteforce"),
-        count_ryser=counts.get("count_ryser"),
+        **counts,
         agreement=len(set(counts.values())) == 1,
         elapsed=elapsed,
     )
@@ -153,7 +144,7 @@ def sweep(
     mode: str,
     trials: int | None = None,
     seed: int | None = None,
-) -> VerificationReport:
+) -> SweepReport:
     """Cross-check the counting methods over many instances.
 
     Exhaustive mode walks all 2^(n*n) graphs (n <= 4); random mode draws
@@ -186,7 +177,7 @@ def sweep(
             entry.update(counts)
             mismatches.append(entry)
     mismatches.sort(key=lambda e: e["graph"])
-    return VerificationReport(
+    return SweepReport(
         n=n,
         mode=mode,
         trials=trials if mode == "random" else None,
@@ -214,14 +205,7 @@ class StructureDiagnostics:
     unconstrained_walks: int
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "node_count": self.node_count,
-            "r_edge_count": self.r_edge_count,
-            "s_edge_count": self.s_edge_count,
-            "valid_paths": self.valid_paths,
-            "unconstrained_walks": self.unconstrained_walks,
-        }
+        return asdict(self)
 
 
 def unconstrained_walk_count(gamma: GammaGraph) -> int:

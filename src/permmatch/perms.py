@@ -193,10 +193,21 @@ def unsift(factors) -> Permutation:
             continue
         if psi.i != i or psi.k > n:
             raise ValueError(f"factor {psi} at level {i} is not in U_{i}")
-    result = Permutation.identity(n)
-    for i in range(n, 0, -1):
-        result = compose(result, factors[i - 1].to_perm(n))
-    return result
+    return suffix_products(factors)[0]
+
+
+def suffix_products(factors) -> list:
+    """Products of per-level factors [psi_1 .. psi_n] from the top level down.
+
+    Element i-1 is psi_n * psi_(n-1) * ... * psi_i, so element 0 is the
+    whole product and element n is the identity.
+    """
+    n = len(factors)
+    products = [Permutation.identity(n)]
+    for psi in reversed(factors):
+        products.append(compose(products[-1], psi.to_perm(n)))
+    products.reverse()
+    return products
 
 
 def parse_cycles(text: str, n: int) -> Permutation:

@@ -105,6 +105,17 @@ class TestPathPerm:
         with pytest.raises(ValueError, match="position 1"):
             path_to_perm(bad)
 
+    @pytest.mark.parametrize(
+        "nodes, index",
+        [
+            ((GammaNode(1, 5, 2), GammaNode(2, 2, 2), GammaNode(3, 3, 3)), 1),
+            ((GammaNode(1, 1, 1), GammaNode(2, 3, 4), GammaNode(3, 3, 3)), 2),
+        ],
+    )
+    def test_out_of_range_node_reports_index(self, nodes, index):
+        with pytest.raises(ValueError, match=f"index {index} does not fit in S_3"):
+            Cvmp(nodes)
+
 
 class TestEnumeration:
     def test_counts(self):

@@ -145,6 +145,12 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(5, "exhaustive")
 
+    def test_dict_key_order_fixed(self):
+        keys = ["n", "mode", "instances", "agreement", "mismatches"]
+        assert list(sweep(2, "exhaustive").to_dict()) == keys
+        keys[2:2] = ["trials", "seed"]
+        assert list(sweep(3, "random", trials=2, seed=1).to_dict()) == keys
+
     def test_random_guard_stays_below_path_counting(self):
         # path counting reaches n = 9, but a random sweep stops at 7
         with pytest.raises(ValueError, match="n <= 7"):
@@ -222,7 +228,14 @@ class TestCli:
         stats = json.loads(capsys.readouterr().out)
         assert stats["node_count"] == 18
         assert stats["valid_paths"] == 24
-        assert "unconstrained_walks" in stats
+        assert list(stats) == [
+            "n",
+            "node_count",
+            "r_edge_count",
+            "s_edge_count",
+            "valid_paths",
+            "unconstrained_walks",
+        ]
 
     def test_gamma_dot(self, capsys):
         assert main(["gamma", "--n", "4", "--dot"]) == 0
@@ -275,6 +288,19 @@ class TestCli:
         assert "error: only one counting method is in guard at n=12" in captured.err
         assert "cvmp n <= 9, brute force n <= 9, Ryser n <= 24" in captured.err
         assert "count --method ryser" in captured.err
+
+    @pytest.mark.parametrize("n", [12, 24])
+    def test_verify_refuses_before_counting(self, n, monkeypatch, tmp_path, capsys):
+        import permmatch.harness as harness
+
+        def never(g):
+            raise AssertionError("counted a graph that verify refuses")
+
+        for name in ("count_via_cvmp", "count_bruteforce", "count_ryser"):
+            monkeypatch.setattr(harness, name, never)
+        path = self.write_graph(tmp_path, serialize_graph(BipartiteGraph.complete(n)))
+        assert main(["verify", path]) == 2
+        assert "only one counting method is in guard" in capsys.readouterr().err
 
     def test_gamma_stats_past_enumeration_guard(self, capsys):
         assert main(["gamma", "--n", "8", "--stats"]) == 0
