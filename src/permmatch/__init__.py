@@ -11,7 +11,6 @@ from .bipartite import (
     contains_matching,
     count_bruteforce,
     count_ryser,
-    enumerate_matchings,
     matching_to_perm,
     parse_graph,
     perm_to_matching,
@@ -20,19 +19,22 @@ from .bipartite import (
 )
 from .gamma import (
     Cvmp,
+    FourCycleWitness,
     GammaGraph,
     GammaNode,
     build_gamma,
     edge_requirement,
     enumerate_cvmps,
     export_dot,
+    four_cycle,
+    gamma_stats,
+    is_product_realized,
     path_to_matching,
     path_to_perm,
     perm_to_path,
     surplus_edges,
 )
-from .harness import count_via_cvmp, gamma_stats, sweep, verify
-from .multiplication import FourCycleWitness, ep, four_cycle, is_product_realized
+from .harness import count_via_cvmp, sweep, verify
 from .perms import (
     CosetChain,
     Permutation,

@@ -19,7 +19,6 @@ from .kernels import RYSER_MAX_N
 from .perms import Permutation
 
 BRUTEFORCE_MAX_N = 9
-ENUMERATE_MAX_N = 8
 
 
 class BipartiteGraph:
@@ -177,27 +176,15 @@ def count_ryser(g: BipartiteGraph) -> int:
     return kernels.ryser_permanent(g.matrix())
 
 
-def enumerate_matchings(g: BipartiteGraph) -> list:
-    """All perfect matchings, ordered by the image table of the permutation."""
-    if g.n > ENUMERATE_MAX_N:
-        raise ValueError(f"enumeration is guarded at n <= {ENUMERATE_MAX_N}")
-    rows = g.rows
-    out = []
-    for images in itertools.permutations(range(1, g.n + 1)):
-        if all(rows[v] >> (w - 1) & 1 for v, w in enumerate(images)):
-            out.append(Matching(g.n, frozenset(enumerate(images, start=1))))
-    return out
-
-
 def parse_graph(text: str) -> BipartiteGraph:
     """Parse the line-oriented format: decimal n, then n rows of n 0/1 chars."""
     lines = text.splitlines()
     if not lines:
         raise ValueError("empty input; expected a header line with n")
-    try:
-        n = int(lines[0].strip())
-    except ValueError:
-        raise ValueError(f"bad header line {lines[0]!r}; expected decimal n") from None
+    header = lines[0].strip()
+    if not (header.isascii() and header.isdigit()):
+        raise ValueError(f"bad header line {lines[0]!r}; expected decimal n")
+    n = int(header)
     if n < 1:
         raise ValueError(f"bad header n={n}; must be >= 1")
     body = lines[1:]
@@ -229,6 +216,8 @@ def random_graph(n: int, density: float, seed: int) -> BipartiteGraph:
     """Seeded Erdos-Renyi style instance; PCG64 keeps output stable across
     platforms, so a (n, density, seed) triple always regenerates the same
     bytes."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must lie in [0,1]")
     rng = np.random.default_rng(seed)

@@ -38,8 +38,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    mode = "exhaustive" if args.exhaustive else "random"
-    report = harness.sweep(args.n, mode, trials=args.trials, seed=args.seed)
+    report = harness.sweep(args.n, trials=args.trials, seed=args.seed)
     print(json.dumps(report.to_dict(), indent=2))
     return 0 if report.agreement else 1
 
@@ -48,7 +47,7 @@ def _cmd_gamma(args) -> int:
     if args.dot:
         print(gamma.export_dot(gamma.build_gamma(args.n)), end="")
     else:
-        print(json.dumps(harness.gamma_stats(args.n).to_dict(), indent=2))
+        print(json.dumps(gamma.gamma_stats(args.n).to_dict(), indent=2))
     return 0
 
 

@@ -12,20 +12,79 @@ Valid paths are in bijection with S_n; a path's matching is the union of its
 node edges minus the consumed ("surplus") edges, and qualifying a path
 against a concrete graph is a plain set difference (the edge requirement).
 
+Multiplying a realized permutation p by a transposition (i,k) exchanges two
+matched edges along a 4-cycle: with a and t the preimages of i and k under
+p, the edges (a,i) and (t,k) leave and (a,k) and (t,i) enter.  A level node
+is `four_cycle`'s a = i case: the suffix product fixes 1..i.
+
 Solid R edges join nodes whose consumed edge reappears in a later node's
 edge pair; dashed S edges join node-disjoint pairs at adjacent levels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from .bipartite import BipartiteGraph, Matching
+from .bipartite import BipartiteGraph, Matching, contains_matching, perm_to_matching
 from .perms import Permutation, Transposition, compose, sift, suffix_products
 
 BUILD_MAX_N = 12
 ENUMERATE_MAX_N = 7
 DOT_MAX_N = 8
+
+
+@dataclass(frozen=True)
+class FourCycleWitness:
+    """The 4-cycle (v_a, w_i, v_t, w_k) driving p * (i,k).
+
+    edges_before are the two matched edges of p on the cycle; edges_after are
+    the two matched edges of the product that replace them.
+    """
+
+    i: int
+    k: int
+    a: int
+    t: int
+    edges_before: frozenset  # {(a,i), (t,k)}, subset of the matching of p
+    edges_after: frozenset  # {(a,k), (t,i)}, subset of the matching of p*(i,k)
+
+    @property
+    def cycle_nodes(self) -> tuple:
+        """Cycle as (v_a, w_i, v_t, w_k) labels."""
+        return (("v", self.a), ("w", self.i), ("v", self.t), ("w", self.k))
+
+
+def four_cycle(p: Permutation, psi: Transposition) -> FourCycleWitness:
+    if psi.is_identity:
+        raise ValueError("identity multiplier has no 4-cycle witness")
+    if psi.k > p.n:
+        raise ValueError(f"transposition {psi} does not fit in S_{p.n}")
+    i, k = psi.i, psi.k
+    a = p.preimage(i)
+    t = p.preimage(k)
+    return FourCycleWitness(
+        i=i,
+        k=k,
+        a=a,
+        t=t,
+        edges_before=frozenset({(a, i), (t, k)}),
+        edges_after=frozenset({(a, k), (t, i)}),
+    )
+
+
+def is_product_realized(g: BipartiteGraph, p: Permutation, psi: Transposition) -> bool:
+    """Is p*psi realized in g, given that p itself is?
+
+    Requires the matching of p to be contained in g; the product is then
+    realized exactly when the two replacement edges of the 4-cycle witness
+    are present.
+    """
+    if g.n != p.n:
+        raise ValueError(f"size mismatch: graph n={g.n}, permutation n={p.n}")
+    if not contains_matching(g, perm_to_matching(p)):
+        raise ValueError("p is not realized in g; hypothesis unmet")
+    w = four_cycle(p, psi)
+    return all(g.has_edge(v, u) for v, u in w.edges_after)
 
 
 @dataclass(frozen=True)
@@ -287,3 +346,55 @@ def export_dot(gamma: GammaGraph) -> str:
         lines.append(f'  "{x.label}" -> "{y.label}" [style=dashed];')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+@dataclass
+class StructureDiagnostics:
+    """Shape numbers for the generating graph at a given n.
+
+    unconstrained_walks counts level-1-to-n walks that only follow R/S edges
+    between consecutive levels, ignoring the suffix-product constraint; it is
+    reported alongside the valid-path count, never asserted equal to it.
+    """
+
+    n: int
+    node_count: int
+    r_edge_count: int
+    s_edge_count: int
+    valid_paths: int | None
+    unconstrained_walks: int
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
+def unconstrained_walk_count(gamma: GammaGraph) -> int:
+    """Dynamic program over adjacent-level R/S edges, one node per level."""
+    step = {}
+    for x, y in gamma.r_edges | gamma.s_edges:
+        if y.position == x.position + 1:
+            step.setdefault(x, []).append(y)
+    ways = {x: 1 for x in gamma.at_position(1)}
+    for i in range(1, gamma.n):
+        nxt = {}
+        for x, count in ways.items():
+            for y in step.get(x, ()):
+                nxt[y] = nxt.get(y, 0) + count
+        ways = nxt
+    return sum(ways.values())
+
+
+def gamma_stats(n: int) -> StructureDiagnostics:
+    gamma = build_gamma(n)
+    if n <= ENUMERATE_MAX_N:
+        valid = sum(1 for _ in enumerate_cvmps(gamma))
+    else:
+        valid = None
+    return StructureDiagnostics(
+        n=n,
+        node_count=len(gamma.nodes),
+        r_edge_count=len(gamma.r_edges),
+        s_edge_count=len(gamma.s_edges),
+        valid_paths=valid,
+        unconstrained_walks=unconstrained_walk_count(gamma),
+    )

@@ -23,7 +23,6 @@ from .bipartite import (
     random_graph,
     serialize_graph,
 )
-from .gamma import ENUMERATE_MAX_N, GammaGraph, build_gamma, enumerate_cvmps
 
 CVMP_MAX_N = BRUTEFORCE_MAX_N
 SWEEP_MAX_N = 7
@@ -139,32 +138,26 @@ def verify(g: BipartiteGraph) -> VerificationReport:
     )
 
 
-def sweep(
-    n: int,
-    mode: str,
-    trials: int | None = None,
-    seed: int | None = None,
-) -> SweepReport:
+def sweep(n: int, trials: int | None = None, seed: int | None = None) -> SweepReport:
     """Cross-check the counting methods over many instances.
 
-    Exhaustive mode walks all 2^(n*n) graphs (n <= 4); random mode draws
-    `trials` seeded half-density instances.  Mismatching instances are
-    embedded verbatim so a failure is always reproducible.
+    With trials None the sweep is exhaustive, over all 2^(n*n) graphs
+    (n <= 4); otherwise it draws `trials` seeded half-density instances.
+    Mismatching instances are embedded verbatim so a failure is always
+    reproducible.
     """
     if n > SWEEP_MAX_N:
         raise ValueError(f"sweeps are guarded at n <= {SWEEP_MAX_N}")
-    if mode == "exhaustive":
+    if trials is None:
         if n > EXHAUSTIVE_MAX_N:
             raise ValueError(f"exhaustive sweeps are guarded at n <= {EXHAUSTIVE_MAX_N}")
         graphs = (BipartiteGraph.from_mask(n, m) for m in range(1 << (n * n)))
-    elif mode == "random":
-        if trials is None or seed is None:
-            raise ValueError("random sweeps need trials and seed")
+    else:
+        if seed is None:
+            raise ValueError("random sweeps need a seed")
         if trials < 1:
             raise ValueError(f"random sweeps need trials >= 1, got {trials}")
         graphs = (random_graph(n, SWEEP_DENSITY, seed + t) for t in range(trials))
-    else:
-        raise ValueError(f"unknown sweep mode {mode!r}")
 
     instances = 0
     mismatches = []
@@ -179,62 +172,11 @@ def sweep(
     mismatches.sort(key=lambda e: e["graph"])
     return SweepReport(
         n=n,
-        mode=mode,
-        trials=trials if mode == "random" else None,
-        seed=seed if mode == "random" else None,
+        mode="exhaustive" if trials is None else "random",
+        trials=trials,
+        seed=None if trials is None else seed,
         instances=instances,
         agreement=not mismatches,
         mismatches=mismatches,
     )
 
-
-@dataclass
-class StructureDiagnostics:
-    """Shape numbers for the generating graph at a given n.
-
-    unconstrained_walks counts level-1-to-n walks that only follow R/S edges
-    between consecutive levels, ignoring the suffix-product constraint; it is
-    reported alongside the valid-path count, never asserted equal to it.
-    """
-
-    n: int
-    node_count: int
-    r_edge_count: int
-    s_edge_count: int
-    valid_paths: int | None
-    unconstrained_walks: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def unconstrained_walk_count(gamma: GammaGraph) -> int:
-    """Dynamic program over adjacent-level R/S edges, one node per level."""
-    step = {}
-    for x, y in gamma.r_edges | gamma.s_edges:
-        if y.position == x.position + 1:
-            step.setdefault(x, []).append(y)
-    ways = {x: 1 for x in gamma.at_position(1)}
-    for i in range(1, gamma.n):
-        nxt = {}
-        for x, count in ways.items():
-            for y in step.get(x, ()):
-                nxt[y] = nxt.get(y, 0) + count
-        ways = nxt
-    return sum(ways.values())
-
-
-def gamma_stats(n: int) -> StructureDiagnostics:
-    gamma = build_gamma(n)
-    if n <= ENUMERATE_MAX_N:
-        valid = sum(1 for _ in enumerate_cvmps(gamma))
-    else:
-        valid = None
-    return StructureDiagnostics(
-        n=n,
-        node_count=len(gamma.nodes),
-        r_edge_count=len(gamma.r_edges),
-        s_edge_count=len(gamma.s_edges),
-        valid_paths=valid,
-        unconstrained_walks=unconstrained_walk_count(gamma),
-    )

@@ -43,9 +43,6 @@ class Permutation:
     def preimage(self, k: int) -> int:
         return self._images.index(k) + 1
 
-    def is_identity(self) -> bool:
-        return all(im == i for i, im in enumerate(self._images, start=1))
-
     def fixes(self, upto: int) -> bool:
         """True iff every point in 1..upto is fixed."""
         return all(self._images[i] == i + 1 for i in range(upto))

@@ -11,7 +11,6 @@ from permmatch import (
     contains_matching,
     count_bruteforce,
     count_ryser,
-    enumerate_matchings,
     matching_to_perm,
     parse_cycles,
     parse_graph,
@@ -118,30 +117,35 @@ class TestRyser:
             count_ryser(BipartiteGraph.complete(25))
 
 
-class TestEnumerate:
-    def test_complete_two(self):
-        ms = enumerate_matchings(BipartiteGraph.complete(2))
-        assert [m.pairs for m in ms] == [
-            frozenset({(1, 1), (2, 2)}),
-            frozenset({(1, 2), (2, 1)}),
-        ]
-
-    def test_empty(self):
-        assert enumerate_matchings(BipartiteGraph.empty(3)) == []
-
-    def test_six_cycle(self):
-        ms = enumerate_matchings(SIX_CYCLE)
-        assert len(ms) == count_bruteforce(SIX_CYCLE) == 2
-
-    def test_counts_match_random(self):
-        for seed in range(100):
-            n = 3 + seed % 4
-            g = random_graph(n, 0.5, 3000 + seed)
-            assert len(enumerate_matchings(g)) == count_bruteforce(g)
-
-    def test_guard(self):
-        with pytest.raises(ValueError):
-            enumerate_matchings(BipartiteGraph.complete(9))
+class TestGraphRejects:
+    @pytest.mark.parametrize(
+        "build,msg",
+        [
+            (lambda: BipartiteGraph(0, []), "n must be >= 1"),
+            (lambda: BipartiteGraph(2, [3]), "expected 2 rows, got 1"),
+            (lambda: BipartiteGraph(2, [3, 4]), "row 2 has bits outside 1..2"),
+            (lambda: BipartiteGraph.from_matrix([]), "n must be >= 1"),
+            (lambda: BipartiteGraph.from_matrix([[1, 0], [1]]), "square"),
+            (lambda: BipartiteGraph.from_matrix([[2]]), "entries must be 0/1"),
+            (lambda: BipartiteGraph.from_edges(2, [(1, 3)]), r"edge \(1,3\) out of range"),
+            (lambda: BipartiteGraph.from_edges(2, [(0, 1)]), r"edge \(0,1\) out of range"),
+            (lambda: parse_graph("0\n"), "bad header n=0; must be >= 1"),
+        ],
+        ids=[
+            "init-n0",
+            "init-rows",
+            "init-bits",
+            "matrix-empty",
+            "matrix-ragged",
+            "matrix-entry",
+            "edges-column",
+            "edges-row",
+            "parse-n0",
+        ],
+    )
+    def test_rejects(self, build, msg):
+        with pytest.raises(ValueError, match=msg):
+            build()
 
 
 class TestGraphFormat:
@@ -172,6 +176,15 @@ class TestGraphFormat:
     def test_rejects(self, bad, msg):
         with pytest.raises(ValueError, match=msg):
             parse_graph(bad)
+
+    @pytest.mark.parametrize(
+        "header", ["1_0", "+2", "\u0662"], ids=["underscore", "plus", "arabic-indic"]
+    )
+    def test_header_must_be_ascii_digits(self, header):
+        # int() reads each of these, and the body fits the n it reads
+        n = int(header)
+        with pytest.raises(ValueError, match="bad header line"):
+            parse_graph(header + "\n" + ("1" * n + "\n") * n)
 
 
 class TestRandomGraph:

@@ -10,19 +10,20 @@ from hypothesis import strategies as st
 
 from permmatch import (
     BipartiteGraph,
+    count_bruteforce,
     count_ryser,
     count_via_cvmp,
     edge_requirement,
     enumerate_cvmps,
     gamma_stats,
+    parse_graph,
     random_graph,
     serialize_graph,
     sweep,
     verify,
 )
 from permmatch.cli import main
-from permmatch.harness import unconstrained_walk_count
-from permmatch.gamma import build_gamma
+from permmatch.gamma import build_gamma, unconstrained_walk_count
 from relabel import assert_relabel_invariant, square_01
 
 
@@ -33,6 +34,16 @@ def shuffled(n, missing, seed):
     rows, cols = rnd.sample(range(n), n), rnd.sample(range(n), n)
     return BipartiteGraph.from_matrix(
         [[int((w - v) % n not in missing) for w in cols] for v in rows]
+    )
+
+
+@pytest.fixture
+def cvmp_off_on_edge_11(monkeypatch):
+    """The harness's path count, one too high on graphs with edge (1,1)."""
+    import permmatch.harness as harness
+
+    monkeypatch.setattr(
+        harness, "count_via_cvmp", lambda g: count_via_cvmp(g) + g.has_edge(1, 1)
     )
 
 
@@ -122,39 +133,51 @@ class TestVerify:
 
 class TestSweep:
     def test_exhaustive_n2(self):
-        report = sweep(2, "exhaustive")
+        report = sweep(2)
         assert report.instances == 16
         assert report.agreement and report.mismatches == []
 
     def test_exhaustive_n3(self):
-        report = sweep(3, "exhaustive")
+        report = sweep(3)
         assert report.instances == 512
         assert report.agreement
 
     def test_random_reproducible(self):
-        a = sweep(6, "random", trials=50, seed=5).to_dict()
-        b = sweep(6, "random", trials=50, seed=5).to_dict()
+        a = sweep(6, trials=50, seed=5).to_dict()
+        b = sweep(6, trials=50, seed=5).to_dict()
         assert a == b
         assert a["instances"] == 50 and a["agreement"]
 
     def test_random_needs_seed(self):
         with pytest.raises(ValueError):
-            sweep(4, "random", trials=10)
+            sweep(4, trials=10)
 
     def test_exhaustive_guard(self):
         with pytest.raises(ValueError):
-            sweep(5, "exhaustive")
+            sweep(5)
 
     def test_dict_key_order_fixed(self):
         keys = ["n", "mode", "instances", "agreement", "mismatches"]
-        assert list(sweep(2, "exhaustive").to_dict()) == keys
+        assert list(sweep(2).to_dict()) == keys
         keys[2:2] = ["trials", "seed"]
-        assert list(sweep(3, "random", trials=2, seed=1).to_dict()) == keys
+        assert list(sweep(3, trials=2, seed=1).to_dict()) == keys
 
     def test_random_guard_stays_below_path_counting(self):
         # path counting reaches n = 9, but a random sweep stops at 7
         with pytest.raises(ValueError, match="n <= 7"):
-            sweep(8, "random", trials=1, seed=1)
+            sweep(8, trials=1, seed=1)
+
+    def test_mismatches_sorted_and_replayable(self, cvmp_off_on_edge_11):
+        report = sweep(2)
+        assert report.instances == 16 and not report.agreement
+        assert len(report.mismatches) == 8
+        graphs = [e["graph"] for e in report.mismatches]
+        assert graphs == sorted(graphs)
+        for entry in report.mismatches:
+            g = parse_graph(entry["graph"])
+            assert g.has_edge(1, 1)
+            assert entry["count_cvmp"] == count_ryser(g) + 1
+            assert entry["count_bruteforce"] == entry["count_ryser"] == count_bruteforce(g)
 
 
 class TestStructureDiagnostics:
@@ -317,6 +340,27 @@ class TestCli:
             main(["sweep", "--n", "3"])
         assert exc.value.code == 2
 
+    def test_random_sweep_without_seed_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--n", "3", "--trials", "5"])
+        assert exc.value.code == 2
+        assert "random sweeps need --seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header", ["1_0", "+2"], ids=["underscore", "plus"])
+    def test_verify_non_decimal_header_exits_2(self, header, tmp_path, capsys):
+        n = int(header)
+        path = self.write_graph(tmp_path, header + "\n" + ("1" * n + "\n") * n)
+        assert main(["verify", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {path}: bad header line {header!r}" in captured.err
+
+    def test_gen_negative_n_exits_2(self, capsys):
+        assert main(["gen", "--n", "-1", "--density", "0.5", "--seed", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n must be >= 1\n"
+
     def test_mismatch_would_exit_1(self, monkeypatch, tmp_path, capsys):
         # force a wrong count to confirm the mismatch contract end to end
         import permmatch.harness as harness
@@ -326,3 +370,8 @@ class TestCli:
         assert main(["verify", path]) == 1
         report = json.loads(capsys.readouterr().out)
         assert report["agreement"] is False
+
+    def test_sweep_mismatch_exits_1(self, cvmp_off_on_edge_11, capsys):
+        assert main(["sweep", "--n", "2", "--exhaustive"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["agreement"] is False and len(report["mismatches"]) == 8

@@ -8,15 +8,16 @@ from permmatch import (
     BipartiteGraph,
     Permutation,
     Transposition,
+    build_gamma,
     compose,
     contains_matching,
-    ep,
+    enumerate_cvmps,
     four_cycle,
     is_product_realized,
     parse_cycles,
     perm_to_matching,
 )
-from permmatch.multiplication import product_matching_check
+from permmatch.gamma import validate_path
 from permmatch.perms import all_permutations
 
 
@@ -56,7 +57,10 @@ class TestFourCycle:
     def test_exchange_exhaustive_s5(self):
         for p in all_permutations(5):
             for psi in transpositions(5):
-                assert product_matching_check(p, psi), (p, psi)
+                w = four_cycle(p, psi)
+                before = perm_to_matching(p).pairs
+                after = perm_to_matching(compose(p, psi.to_perm(5))).pairs
+                assert after == (before - w.edges_before) | w.edges_after, (p, psi)
 
 
 class TestIsProductRealized:
@@ -95,32 +99,19 @@ class TestIsProductRealized:
             assert is_product_realized(g, p, psi) == direct
 
 
-class TestEp:
-    def test_level_one(self):
-        assert ep(parse_cycles("(2,4,3)", 4), Transposition(1, 2)) == ((1, 2), (3, 1))
-
-    def test_identity_multiplicand(self):
-        assert ep(Permutation.identity(5), Transposition(2, 4)) == ((2, 4), (4, 2))
-
-    def test_level_two(self):
-        assert ep(parse_cycles("(3,4)", 4), Transposition(2, 4)) == ((2, 4), (3, 2))
-
-    def test_rejects_moving_prefix(self):
-        with pytest.raises(ValueError, match="fix"):
-            ep(parse_cycles("(1,2)", 4), Transposition(2, 3))
-
-    def test_rejects_identity_multiplier(self):
-        with pytest.raises(ValueError):
-            ep(Permutation.identity(4), Transposition.identity())
-
-    def test_specializes_four_cycle(self):
-        # whenever p fixes 1..i, ep is the a = i case of the 4-cycle witness
-        for n in range(2, 6):
-            for p in all_permutations(n):
-                for psi in transpositions(n):
-                    if not p.fixes(psi.i):
+class TestLevelNode:
+    def test_is_four_cycle_with_a_equal_to_level(self):
+        # a level-i node is the 4-cycle of its suffix product times (i,k)
+        checked = 0
+        for n in range(1, 6):
+            for path in enumerate_cvmps(build_gamma(n)):
+                suffixes = validate_path(path)
+                for i, x in enumerate(path.nodes, start=1):
+                    if x.is_identity:
                         continue
-                    pair = ep(p, psi)
-                    w = four_cycle(p, psi)
-                    assert w.a == psi.i
-                    assert set(pair) == set(w.edges_after)
+                    w = four_cycle(suffixes[i], x.psi)
+                    assert w.a == i, (path, i)
+                    assert w.edges_after == x.node_edges, (path, i)
+                    assert x.consumed_edge in w.edges_before, (path, i)
+                    checked += 1
+        assert checked == 380
