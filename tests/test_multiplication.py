@@ -17,7 +17,7 @@ from permmatch import (
     parse_cycles,
     perm_to_matching,
 )
-from permmatch.gamma import validate_path
+from permmatch.gamma import _level_node, validate_path
 from permmatch.perms import all_permutations
 
 
@@ -97,6 +97,33 @@ class TestIsProductRealized:
             psi = Transposition(i, rng.randint(i + 1, n))
             direct = contains_matching(g, perm_to_matching(compose(p, psi.to_perm(n))))
             assert is_product_realized(g, p, psi) == direct
+
+
+def ep(p, psi):
+    """Edge pair of the level-psi.i node for psi under the suffix product p."""
+    return _level_node(psi.i, psi.k, p).node_edges
+
+
+class TestEp:
+    def test_level_one(self):
+        assert ep(parse_cycles("(2,4,3)", 4), Transposition(1, 2)) == {(1, 2), (3, 1)}
+
+    def test_identity_multiplicand(self):
+        assert ep(Permutation.identity(5), Transposition(2, 4)) == {(2, 4), (4, 2)}
+
+    def test_level_two(self):
+        assert ep(parse_cycles("(3,4)", 4), Transposition(2, 4)) == {(2, 4), (3, 2)}
+
+    def test_specializes_four_cycle(self):
+        # whenever p fixes 1..i, ep is the a = i case of the 4-cycle witness
+        for n in range(2, 6):
+            for p in all_permutations(n):
+                for psi in transpositions(n):
+                    if not p.fixes(psi.i):
+                        continue
+                    w = four_cycle(p, psi)
+                    assert w.a == psi.i
+                    assert ep(p, psi) == w.edges_after
 
 
 class TestLevelNode:
