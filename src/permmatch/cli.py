@@ -24,6 +24,8 @@ def _read_graph(path: str) -> bipartite.BipartiteGraph:
             text = fh.read()
     except OSError as exc:
         raise ValueError(f"{path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     try:
         return bipartite.parse_graph(text)
     except ValueError as exc:

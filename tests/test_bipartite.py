@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permmatch import (
     BipartiteGraph,
@@ -19,6 +21,7 @@ from permmatch import (
     serialize_graph,
 )
 from permmatch.perms import all_permutations
+from relabel import assert_relabel_invariant, square_01
 
 SIX_CYCLE = BipartiteGraph.from_matrix([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
 
@@ -87,6 +90,36 @@ class TestBruteForce:
     def test_guard(self):
         with pytest.raises(ValueError, match="ryser"):
             count_bruteforce(BipartiteGraph.complete(10))
+
+    def test_complete_counts_are_factorials(self):
+        for n in range(1, 10):
+            assert count_bruteforce(BipartiteGraph.complete(n)) == math.factorial(n)
+
+    @pytest.mark.parametrize("n", [8, 9])
+    @pytest.mark.parametrize("density", [0.3, 0.5, 0.8])
+    def test_matches_ryser_at_table_sizes(self, n, density):
+        # n = 8 is the whole table; n = 9 adds the loop over row 1's image
+        for seed in range(4):
+            g = random_graph(n, density, 900 + seed)
+            assert count_bruteforce(g) == count_ryser(g), seed
+
+    def test_empty_first_row_n9(self):
+        g = random_graph(9, 0.9, 5)
+        g = BipartiteGraph(9, (0,) + g.rows[1:])
+        assert count_bruteforce(g) == count_ryser(g) == 0
+
+    def test_first_row_in_one_head_block_n9(self):
+        # row 1 only reaches column 4, so eight of the nine blocks count 0
+        g = random_graph(9, 0.7, 6)
+        g = BipartiteGraph(9, (1 << 3,) + g.rows[1:])
+        expected = count_ryser(g)
+        assert expected > 0
+        assert count_bruteforce(g) == expected
+
+    @settings(max_examples=50, deadline=None)
+    @given(square_01, st.randoms(use_true_random=False))
+    def test_invariant_under_permutation_and_transpose(self, rows, rnd):
+        assert_relabel_invariant(count_bruteforce, rows, rnd)
 
 
 class TestRyser:

@@ -92,8 +92,11 @@ class TestCountViaCvmp:
         ],
     )
     def test_closed_forms_past_old_guard(self, missing, n, expected):
-        # n!, derangements and menage numbers
-        assert count_via_cvmp(shuffled(n, missing, seed=n)) == expected
+        # n!, derangements and menage numbers; at n = 9 brute force also
+        # runs its loop over the images of row 1
+        g = shuffled(n, missing, seed=n)
+        assert count_via_cvmp(g) == expected
+        assert count_bruteforce(g) == expected
 
     @settings(max_examples=50, deadline=None)
     @given(square_01, st.randoms(use_true_random=False))
@@ -224,6 +227,15 @@ class TestCli:
 
     def test_verify_missing_file(self, capsys):
         assert main(["verify", "/nonexistent/graph.txt"]) == 2
+
+    def test_verify_non_ascii_file_exits_2_with_path(self, tmp_path, capsys):
+        f = tmp_path / "g.txt"
+        f.write_bytes("\u0662\n1\n1\n".encode("utf-8"))  # ARABIC-INDIC DIGIT TWO
+        assert main(["verify", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {f}: ")
+        assert "Traceback" not in captured.err
 
     def test_count_methods_agree(self, tmp_path, capsys):
         path = self.write_graph(
