@@ -2,7 +2,8 @@
 
 Counts perfect matchings in bipartite graphs three independent ways --
 valid-path qualification in the generating graph, brute force over S_n,
-and Ryser's permanent -- and cross-checks them exhaustively at small n.
+and an inclusion-exclusion permanent -- and cross-checks them exhaustively
+at small n.
 """
 
 from .bipartite import (

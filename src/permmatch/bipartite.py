@@ -3,36 +3,35 @@
 A graph is an n x n bit-matrix over the two sides V and W, both labeled
 1..n.  Perfect matchings correspond bijectively to permutations via
 "edge (v,w) matched iff v maps to w".  Two oracles count matchings: brute
-force over all of S_n (small n only) and Ryser's permanent.  They share no
-code path, so agreement between them is meaningful evidence.
+force over all of S_n (small n only) and the permanent kernel.  They share
+no code path, so agreement between them is meaningful evidence.
 
-Brute force tests every one of the n! permutations with numpy.  A cached
-table holds S_k for k = min(n, 8), one row of images per graph row; at
-k = 8 it is 8 x 40320 bytes, about 320 KB.  A Python loop picks the images
-of the first n - k rows (nine choices at n = 9, one empty choice below),
-and the last k rows are checked against the table over the columns left
-free.  Nothing is pruned: a choice whose head rows miss an edge still has
-its whole block evaluated, with the head's verdict ANDed in.  Skipping such
-blocks would turn brute force into the pruned walk that path counting runs,
-and the two counts would no longer be independent.
+Brute force tests every one of the n! permutations at once, one bit per
+permutation.  A cached table holds, for each row v and column c, the int
+whose bit p is set when the p-th permutation (itertools order) maps v to c;
+the permutations with v matched inside v's neighbourhood are the OR of
+that row's entries over its neighbours, and the count is the popcount of
+the AND over rows.  The table of S_n is built from that of S_(n-1) by
+shifting blocks; at n = 9 it is 81 ints of 362,880 bits, about 3.7 MB.
+Nothing is pruned: every row's OR is formed and ANDed whatever the rows
+before it left, so brute force stays independent of the pruned walk that
+path counting runs.
+
+Only `random_graph` uses numpy, for its PCG64 stream, and imports it when
+called; counting, parsing and the permutation machinery never load it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from . import kernels
 from .kernels import RYSER_MAX_N
 from .perms import Permutation
 
 BRUTEFORCE_MAX_N = 9
-
-_TABLE_MAX_K = 8  # S_8 is 40320 permutations; S_9 would be 3.3 MB
 
 
 class BipartiteGraph:
@@ -106,12 +105,8 @@ class BipartiteGraph:
             if self.has_edge(v, w)
         )
 
-    def matrix(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=np.int64)
-        for v in range(self.n):
-            for w in range(self.n):
-                a[v, w] = (self.rows[v] >> w) & 1
-        return a
+    def matrix(self) -> list[list[int]]:
+        return [[r >> w & 1 for w in range(self.n)] for r in self.rows]
 
     def __eq__(self, other):
         return (
@@ -172,49 +167,56 @@ def contains_matching(g: BipartiteGraph, m: Matching) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _perm_table(k: int) -> np.ndarray:
-    """Every permutation of range(k) as a read-only (k, k!) uint8 array.
+def _bit_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """Row v, column c: the int whose bit p is set when the p-th permutation
+    of range(n), in itertools.permutations order, maps v to c.
 
-    Column j is the j-th permutation in lexicographic order; row v holds
-    the image of v in each of them, contiguously.  Cached because sweeps
-    count tens of thousands of small graphs.
+    That order puts the permutations sending 0 to c in block c, bits
+    c*(n-1)! up to (c+1)*(n-1)!; inside the block, rows 1..n-1 run through
+    S_(n-1) over the columns other than c in order.  So row v >= 1 is built
+    from row v - 1 of S_(n-1), shifted into each block with its columns
+    past c moved up by one.  Cached because sweeps count tens of thousands
+    of small graphs.
     """
-    flat = itertools.chain.from_iterable(itertools.permutations(range(k)))
-    table = np.fromiter(flat, dtype=np.uint8, count=k * math.factorial(k))
-    table = np.ascontiguousarray(table.reshape(-1, k).T)
-    table.flags.writeable = False
-    return table
+    if n == 1:
+        return ((1,),)
+    prev = _bit_table(n - 1)
+    m = math.factorial(n - 1)
+    table = [tuple(((1 << m) - 1) << c * m for c in range(n))]
+    for images in prev:
+        row = []
+        for col in range(n):
+            bits = 0
+            for c in range(n):
+                if c != col:
+                    bits |= images[col if col < c else col - 1] << c * m
+            row.append(bits)
+        table.append(tuple(row))
+    return tuple(table)
 
 
 def count_bruteforce(g: BipartiteGraph) -> int:
     """Count perfect matchings by testing all of S_n; independent ground truth.
 
-    The images of the first n - k rows are chosen in a Python loop and the
-    last k = min(n, 8) rows are tested against the cached table of S_k over
-    the remaining columns, so every one of the n! permutations is evaluated.
-    No block is skipped when a head row lacks its edge; that verdict is
-    ANDed into the block instead, which keeps this count independent of the
-    pruned walk.
+    Each of the n! permutations is one bit of the cached table.  Row v's
+    neighbours select, by OR, the permutations that match v along an edge;
+    the AND over all rows leaves those that are perfect matchings of g.
+    No row is skipped when the AND is already empty, which keeps this count
+    independent of the pruned walk.
     """
     if g.n > BRUTEFORCE_MAX_N:
         raise ValueError(
             f"brute force is guarded at n <= {BRUTEFORCE_MAX_N}; use count_ryser"
         )
-    rows = g.rows
     n = g.n
-    k = min(n, _TABLE_MAX_K)
-    table = _perm_table(k)
-    count = 0
-    for head in itertools.permutations(range(n), n - k):
-        free = [w for w in range(n) if w not in head]
-        head_ok = all(rows[v] >> w & 1 for v, w in enumerate(head))
-        alive = np.full(table.shape[1], head_ok)
-        for v, images in zip(range(n - k, n), table):
-            # row v's 0/1 edges over the free columns, looked up per image
-            edges = np.array([rows[v] >> w & 1 for w in free], dtype=bool)
-            alive &= edges[images]
-        count += int(np.count_nonzero(alive))
-    return count
+    alive = -1
+    for r, images in zip(g.rows, _bit_table(n)):
+        reach = 0
+        for c in range(n):
+            if r >> c & 1:
+                reach |= images[c]
+        alive &= reach
+    return alive.bit_count()
 
 
 def count_ryser(g: BipartiteGraph) -> int:
@@ -266,6 +268,10 @@ def random_graph(n: int, density: float, seed: int) -> BipartiteGraph:
         raise ValueError("n must be >= 1")
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must lie in [0,1]")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+    import numpy as np  # only here: every other path runs without numpy
+
     rng = np.random.default_rng(seed)
     mat = (rng.random((n, n)) < density).astype(int)
     return BipartiteGraph.from_matrix(mat.tolist())

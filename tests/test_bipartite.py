@@ -1,5 +1,6 @@
 """Graphs, matchings, the bijection with permutations, and the oracles."""
 
+import itertools
 import math
 
 import pytest
@@ -20,6 +21,7 @@ from permmatch import (
     random_graph,
     serialize_graph,
 )
+from permmatch.bipartite import _bit_table
 from permmatch.perms import all_permutations
 from relabel import assert_relabel_invariant, square_01
 
@@ -77,6 +79,18 @@ class TestContains:
 
 
 class TestBruteForce:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_bit_table_matches_itertools(self, n):
+        perms = list(itertools.permutations(range(n)))
+        table = _bit_table(n)
+        assert len(table) == n
+        for v, images in enumerate(table):
+            assert len(images) == n
+            for c, bits in enumerate(images):
+                assert bits.bit_count() == math.factorial(n - 1)
+                for p, perm in enumerate(perms):
+                    assert (bits >> p & 1) == (perm[v] == c), (v, c, p)
+
     def test_complete(self):
         assert count_bruteforce(BipartiteGraph.complete(3)) == 6
 
@@ -233,3 +247,7 @@ class TestRandomGraph:
     def test_bad_density(self):
         with pytest.raises(ValueError):
             random_graph(3, 1.5, 0)
+
+    def test_negative_seed_names_the_seed(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0$"):
+            random_graph(3, 0.5, -1)

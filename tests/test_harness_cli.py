@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +29,8 @@ from permmatch import (
 from permmatch.cli import main
 from permmatch.gamma import build_gamma, unconstrained_walk_count
 from relabel import assert_relabel_invariant, square_01
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def shuffled(n, missing, seed):
@@ -372,6 +378,43 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: n must be >= 1\n"
+
+    def test_gen_negative_seed_exits_2(self, capsys):
+        assert main(["gen", "--n", "3", "--density", "0.5", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be >= 0\n"
+
+    def test_sweep_negative_seed_exits_2(self, capsys):
+        assert main(["sweep", "--n", "3", "--trials", "2", "--seed", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be >= 0\n"
+
+    def test_counting_commands_never_import_numpy(self, tmp_path):
+        # numpy is only for gen and random sweeps; a fresh interpreter shows
+        # what the counting commands load, which this test process cannot
+        path = self.write_graph(tmp_path, "4\n1101\n0111\n1011\n1110\n")
+        script = "\n".join([
+            "import contextlib, io, sys",
+            "from permmatch.cli import main",
+            f"path = {path!r}",
+            "runs = [['verify', path], ['gamma', '--n', '4', '--stats'],",
+            "        ['factorize', '--n', '4', '(1,2,4,3)']]",
+            "runs += [['count', '--method', m, path] for m in ('cvmp', 'brute', 'ryser')]",
+            "for argv in runs:",
+            "    with contextlib.redirect_stdout(io.StringIO()):",
+            "        assert main(argv) == 0, argv",
+            "assert 'numpy' not in sys.modules, 'numpy was imported'",
+        ])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), env.get("PYTHONPATH")])
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
 
     def test_mismatch_would_exit_1(self, monkeypatch, tmp_path, capsys):
         # force a wrong count to confirm the mismatch contract end to end

@@ -1,7 +1,12 @@
-"""The numpy kernels against a brute-force permanent and closed forms."""
+"""The permanent kernel against reference permanents and closed forms.
+
+Most inputs are numpy arrays, the rest lists: the kernel takes any square
+0/1 array-like.
+"""
 
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -23,6 +28,21 @@ def brute_permanent(a):
     return total
 
 
+def dp_permanent(rows):
+    """Row-by-row dynamic program over the set of used columns (bitmasks)."""
+    ways = {0: 1}
+    for r in rows:
+        nxt = {}
+        for used, c in ways.items():
+            free = r & ~used
+            while free:
+                bit = free & -free
+                free ^= bit
+                nxt[used | bit] = nxt.get(used | bit, 0) + c
+        ways = nxt
+    return sum(ways.values())
+
+
 def derangements(n):
     d = [1, 0]
     for k in range(2, n + 1):
@@ -37,6 +57,16 @@ class TestRyser:
         for _ in range(10 if n == 8 else 30):
             a = (rng.random((n, n)) < 0.5).astype(int)
             assert kernels.ryser_permanent(a) == brute_permanent(a.tolist())
+
+    @pytest.mark.parametrize("n", range(10, 15))
+    @pytest.mark.parametrize("density", [0.1, 0.5, 0.9])
+    def test_matches_subset_dp_past_the_sign_table(self, n, density):
+        # n >= 10 leaves sign rows past the tabulated ones to the Gray code
+        rnd = random.Random(1000 * n + int(10 * density))
+        for _ in range(3):
+            a = [[int(rnd.random() < density) for _ in range(n)] for _ in range(n)]
+            rows = [sum(e << w for w, e in enumerate(row)) for row in a]
+            assert kernels.ryser_permanent(a) == dp_permanent(rows)
 
     def test_complete_factorials(self):
         for n in range(1, 9):
