@@ -17,10 +17,21 @@ the sign is the parity of the flipped rows plus the number of negative
 sums, which is n minus the popcount of the fields' high bits.  The sign
 vectors of the low _LOW_BITS varying rows are tabulated once per call; a
 Gray code walks the rest, one flip per table pass.
+
+A term with a zero column sum is exactly 0, and on random graphs most terms
+have one.  Since s_j = deg(j) (mod 2) for every sign vector, only columns of
+even degree can sum to zero.  For each of them, one dict per call maps the
+Gray-coded part's field value to a flag byte per table entry, set where the
+entry's offset cancels that value; each is built with one bytes.translate.
+Each Gray step ORs the flags its fields select, one lookup per even column,
+and runs the term loop over the live entries only.  When no flag is set,
+when every column has odd degree, and at n <= _LOW_BITS + 1 (a single Gray
+step), the loop runs over the whole table.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 # Read by the perfbench environment stamp; there is no compiled path.
@@ -31,6 +42,7 @@ RYSER_MAX_N = 24
 _LOW_BITS = 8  # sign rows tabulated per call: 256 entries
 _BIAS = 128  # field value of a zero column sum; |s_j| <= 24 stays in 0..255
 _ABS = bytes(abs(b - _BIAS) for b in range(256))
+_LIVE = bytes([1]) + bytes(255)  # flag byte 0 (no zero column sum) -> live
 
 
 def _row_bits(a) -> list[int]:
@@ -54,6 +66,37 @@ def _row_bits(a) -> list[int]:
     return bits
 
 
+def _zero_masks(start: int, low_rows: list, n: int) -> list:
+    """For each column j of even degree: (j, {field value of base: dead}),
+    where byte e of dead is 1 when low entry e cancels column j's sum.
+
+    Low entry e subtracts twice the number of its flipped rows with an entry
+    in column j from the field, so the column sum is zero exactly when
+    base's field is _BIAS plus that amount.  A column of odd degree never
+    sums to zero: s_j = deg(j) (mod 2) for every sign vector.
+    """
+    even = [j for j, v in enumerate(start.to_bytes(n, "little")) if not v & 1]
+    if not even:
+        return []
+    # Those amounts, n bytes per low entry in the order of the low table.
+    flips, rep, width = 0, 1, 8 * n
+    for f in low_rows:
+        flips |= (flips + 2 * f * rep) << width
+        rep |= rep << width
+        width *= 2
+    flips = flips.to_bytes(n << len(low_rows), "little")
+    masks = []
+    for j in even:
+        column = flips[j::n]
+        table = {}
+        for twice in range(0, column[-1] + 1, 2):
+            hit = bytearray(256)
+            hit[twice] = 1
+            table[_BIAS + twice] = int.from_bytes(column.translate(hit), "little")
+        masks.append((j, table))
+    return masks
+
+
 def ryser_permanent(a) -> int:
     """Permanent of a square 0/1 matrix, exact for n <= RYSER_MAX_N."""
     rows = _row_bits(a)
@@ -74,8 +117,11 @@ def ryser_permanent(a) -> int:
     low = [(0, n & 1)]
     for f in low_rows:
         low += [(off - 2 * f, odd ^ 1) for off, odd in low]
+    # With one Gray step (n <= _LOW_BITS + 1) each table would be read once;
+    # building it costs about what it saves there, and more at small n.
+    masks = _zero_masks(start, low_rows, n) if high_rows else []
 
-    prod, abs_table = math.prod, _ABS
+    prod, abs_table, compress = math.prod, _ABS, itertools.compress
     total = 0
     base = start
     flipped = 0  # high rows currently at d_i = -1, as a bitmask
@@ -85,8 +131,17 @@ def ryser_permanent(a) -> int:
             f = 2 * high_rows[bit.bit_length() - 1]
             base += f if flipped & bit else -f
             flipped ^= bit
+        terms = low
+        if masks:
+            at = base.to_bytes(n, "little")
+            dead = 0
+            for j, table in masks:
+                dead |= table.get(at[j], 0)
+            if dead:
+                live = dead.to_bytes(len(low), "little").translate(_LIVE)
+                terms = compress(low, live)
         acc = 0
-        for off, odd in low:
+        for off, odd in terms:
             y = base + off
             p = prod(y.to_bytes(n, "little").translate(abs_table))
             if p:

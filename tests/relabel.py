@@ -2,6 +2,8 @@
 number of perfect matchings unchanged.  Each counter's test module runs it
 with its own counter."""
 
+import random
+
 from hypothesis import strategies as st
 
 from permmatch import BipartiteGraph
@@ -24,3 +26,11 @@ def assert_relabel_invariant(count, rows, rnd):
     )
     for variant in variants:
         assert count(BipartiteGraph.from_matrix(variant)) == expected
+
+
+def shuffled(n, missing, seed):
+    """J_n minus the cells (v, w) with (w - v) % n in `missing`, with rows
+    and columns shuffled: missing () is J, (0,) is J-I, (0, 1) is J-I-P."""
+    rnd = random.Random(seed)
+    rows, cols = rnd.sample(range(n), n), rnd.sample(range(n), n)
+    return [[int((w - v) % n not in missing) for w in cols] for v in rows]

@@ -3,7 +3,6 @@
 import json
 import math
 import os
-import random
 import subprocess
 import sys
 from pathlib import Path
@@ -28,19 +27,9 @@ from permmatch import (
 )
 from permmatch.cli import main
 from permmatch.gamma import build_gamma, unconstrained_walk_count
-from relabel import assert_relabel_invariant, square_01
+from relabel import assert_relabel_invariant, shuffled, square_01
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-
-
-def shuffled(n, missing, seed):
-    """J_n minus the cells (v, w) with (w - v) % n in `missing`, with rows
-    and columns shuffled: missing () is J, (0,) is J-I, (0, 1) is J-I-P."""
-    rnd = random.Random(seed)
-    rows, cols = rnd.sample(range(n), n), rnd.sample(range(n), n)
-    return BipartiteGraph.from_matrix(
-        [[int((w - v) % n not in missing) for w in cols] for v in rows]
-    )
 
 
 @pytest.fixture
@@ -100,7 +89,7 @@ class TestCountViaCvmp:
     def test_closed_forms_past_old_guard(self, missing, n, expected):
         # n!, derangements and menage numbers; at n = 9 brute force also
         # runs its loop over the images of row 1
-        g = shuffled(n, missing, seed=n)
+        g = BipartiteGraph.from_matrix(shuffled(n, missing, seed=n))
         assert count_via_cvmp(g) == expected
         assert count_bruteforce(g) == expected
 
@@ -206,6 +195,15 @@ class TestStructureDiagnostics:
             stats = gamma_stats(n)
             assert stats.valid_paths == math.factorial(n)
             assert stats.valid_paths <= stats.unconstrained_walks
+
+    def test_local_dp_stops_counting_s_n_at_n4(self):
+        # The level-local DP over the O(n^3) nodes counts S_n only up to
+        # n = 3; from n = 4 on it counts walks that are not permutations.
+        for n in (1, 2, 3):
+            assert gamma_stats(n).unconstrained_walks == math.factorial(n)
+        walks = {n: gamma_stats(n).unconstrained_walks for n in (4, 5, 6)}
+        assert walks == {4: 28, 5: 220, 6: 2808}
+        assert all(walks[n] > math.factorial(n) for n in walks)
 
     def test_walks_by_hand_n2(self):
         # level-1 nodes (11,11) and (12,21) each step to the lone (22,22)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permmatch import count_ryser, kernels
-from relabel import assert_relabel_invariant, square_01
+from relabel import assert_relabel_invariant, shuffled, square_01
 
 
 def brute_permanent(a):
@@ -43,6 +43,15 @@ def dp_permanent(rows):
     return sum(ways.values())
 
 
+def random_rows(n, density, seed):
+    rnd = random.Random(seed)
+    return [[int(rnd.random() < density) for _ in range(n)] for _ in range(n)]
+
+
+def bitmasks(a):
+    return [sum(e << w for w, e in enumerate(row)) for row in a]
+
+
 def derangements(n):
     d = [1, 0]
     for k in range(2, n + 1):
@@ -65,15 +74,14 @@ class TestRyser:
         rnd = random.Random(1000 * n + int(10 * density))
         for _ in range(3):
             a = [[int(rnd.random() < density) for _ in range(n)] for _ in range(n)]
-            rows = [sum(e << w for w, e in enumerate(row)) for row in a]
-            assert kernels.ryser_permanent(a) == dp_permanent(rows)
+            assert kernels.ryser_permanent(a) == dp_permanent(bitmasks(a))
 
     def test_complete_factorials(self):
         for n in range(1, 9):
             assert kernels.ryser_permanent(np.ones((n, n))) == math.factorial(n)
 
     def test_complete_across_overflow_boundaries(self):
-        # 20! still fits the wrapped uint64 sum; 21! needs the prime residue
+        # 20! < 2^64 < 21!: a fixed-width shortcut would go wrong at n = 21
         for n in (20, 21):
             assert kernels.ryser_permanent(np.ones((n, n), dtype=np.int64)) == math.factorial(n)
 
@@ -97,3 +105,63 @@ class TestRyser:
     @given(square_01, st.randoms(use_true_random=False))
     def test_invariant_under_permutation_and_transpose(self, rows, rnd):
         assert_relabel_invariant(count_ryser, rows, rnd)
+
+
+class TestZeroColumnSkip:
+    """Terms with a zero column sum are skipped, not evaluated.  Only columns
+    of even degree can sum to zero, and the skip starts at n = 10, where the
+    Gray code has more than one step."""
+
+    @pytest.mark.parametrize("n", [10, 12, 16])
+    def test_shuffled_complete_every_column_even(self, n):
+        assert kernels.ryser_permanent(shuffled(n, (), n)) == math.factorial(n)
+
+    @pytest.mark.parametrize("n", [11, 13, 17])
+    def test_shuffled_derangements_every_column_even(self, n):
+        assert kernels.ryser_permanent(shuffled(n, (0,), n)) == derangements(n)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_column_empty_in_the_tabulated_rows(self, seed):
+        # Rows 1-8 (from 0) are the tabulated ones.  Column 0 is met only by
+        # rows 0 and 10, so whenever d_10 = -1 its sum is zero for every
+        # entry of the table and the whole Gray step is skipped.
+        a = random_rows(12, 0.6, seed)
+        for v in range(12):
+            a[v][0] = int(v in (0, 10))
+        assert kernels.ryser_permanent(a) == dp_permanent(bitmasks(a)) > 0
+
+    @pytest.mark.parametrize("n", [10, 13, 15, 18])
+    @pytest.mark.parametrize("empty", ["row", "column"])
+    def test_empty_line_gives_zero(self, n, empty):
+        a = random_rows(n, 0.7, n)
+        line = n // 2
+        for v in range(n):
+            if empty == "row":
+                a[line][v] = 0
+            else:
+                a[v][line] = 0
+        assert kernels.ryser_permanent(a) == 0
+
+    @pytest.mark.parametrize("n", [15, 16, 17, 18])
+    @pytest.mark.parametrize("density", [0.3, 0.5, 0.7])
+    def test_random_matches_subset_dp(self, n, density):
+        a = random_rows(n, density, 100 * n + int(10 * density))
+        assert kernels.ryser_permanent(a) == dp_permanent(bitmasks(a))
+
+    @pytest.mark.parametrize(
+        "a",
+        [random_rows(11, 0.5, 1), random_rows(12, 0.3, 2), shuffled(12, (), 3),
+         shuffled(12, (0,), 4)],
+        ids=["random11", "random12", "J12", "J-I12"],
+    )
+    def test_evaluates_exactly_the_nonzero_terms(self, a, monkeypatch):
+        n = len(a)
+        nonzero = 0
+        for signs in itertools.product((1, -1), repeat=n - 1):
+            d = (1,) + signs
+            nonzero += all(sum(d[i] * a[i][j] for i in range(n)) for j in range(n))
+        calls = []
+        prod = math.prod
+        monkeypatch.setattr(math, "prod", lambda xs: calls.append(1) or prod(xs))
+        assert kernels.ryser_permanent(a) == dp_permanent(bitmasks(a))
+        assert len(calls) == nonzero
