@@ -1,0 +1,79 @@
+"""The base class of the package's value types.
+
+A subclass lists its fields, in order, as a tuple in `__slots__`.  `Record` then gives
+it what `dataclasses` would, without importing that module (which loads
+`inspect`, `ast` and `dis`) and without generating code for each class:
+
+- `__init__` by position or keyword, raising TypeError for a missing, extra
+  or duplicate field, then calling the subclass's `_validate` hook;
+- no assignment or deletion once built (AttributeError);
+- equality and hashing by field values, between instances of one class only;
+- a `Name(field=value, ...)` repr, and `to_dict()` in field order.
+"""
+
+from operator import attrgetter
+
+_set = object.__setattr__
+
+
+class Record:
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__slots__)
+        # A one-field getter returns the bare value; as an equality and hash
+        # key within one class that serves as well as a 1-tuple.
+        cls._key = attrgetter(*cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        for field, value in zip(fields, args):
+            _set(self, field, value)
+        self._validate()
+
+    @classmethod
+    def _bind(cls, args, kwargs) -> tuple:
+        """Field values in order from mixed arguments, or TypeError."""
+        fields, name = cls._fields, cls.__name__
+        if len(args) > len(fields):
+            raise TypeError(
+                f"{name}() takes {len(fields)} fields but {len(args)} were given"
+            )
+        for field in kwargs:
+            if field not in fields:
+                raise TypeError(f"{name}() got an unexpected field {field!r}")
+            if fields.index(field) < len(args):
+                raise TypeError(f"{name}() got multiple values for field {field!r}")
+        missing = [f for f in fields[len(args) :] if f not in kwargs]
+        if missing:
+            raise TypeError(f"{name}() is missing fields: {', '.join(missing)}")
+        return args + tuple(kwargs[f] for f in fields[len(args) :])
+
+    def _validate(self):
+        """Check the fields; a subclass may normalize them with object.__setattr__."""
+
+    def __setattr__(self, field, value):
+        raise AttributeError(f"cannot assign to field {field!r}")
+
+    def __delattr__(self, field):
+        raise AttributeError(f"cannot delete field {field!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({body})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+    def to_dict(self) -> dict:
+        return {f: getattr(self, f) for f in self._fields}

@@ -24,10 +24,10 @@ called; counting, parsing and the permutation machinery never load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import kernels
+from ._record import Record
 from .kernels import RYSER_MAX_N
 from .perms import Permutation
 
@@ -122,17 +122,15 @@ class BipartiteGraph:
         return f"BipartiteGraph(n={self.n}, rows={self.rows})"
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(Record):
     """A set of v-w edges with every endpoint used at most once.
 
     Perfect means every v and every w in 1..n is used exactly once.
     """
 
-    n: int
-    pairs: frozenset
+    __slots__ = ("n", "pairs")
 
-    def __post_init__(self):
+    def _validate(self):
         object.__setattr__(self, "pairs", frozenset(self.pairs))
         vs = [v for v, _ in self.pairs]
         ws = [w for _, w in self.pairs]

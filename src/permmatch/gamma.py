@@ -23,8 +23,7 @@ edge pair; dashed S edges join node-disjoint pairs at adjacent levels.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-
+from ._record import Record
 from .bipartite import BipartiteGraph, Matching, contains_matching, perm_to_matching
 from .perms import Permutation, Transposition, compose, sift, suffix_products
 
@@ -33,20 +32,21 @@ ENUMERATE_MAX_N = 7
 DOT_MAX_N = 8
 
 
-@dataclass(frozen=True)
-class FourCycleWitness:
+class FourCycleWitness(Record):
     """The 4-cycle (v_a, w_i, v_t, w_k) driving p * (i,k).
 
     edges_before are the two matched edges of p on the cycle; edges_after are
     the two matched edges of the product that replace them.
     """
 
-    i: int
-    k: int
-    a: int
-    t: int
-    edges_before: frozenset  # {(a,i), (t,k)}, subset of the matching of p
-    edges_after: frozenset  # {(a,k), (t,i)}, subset of the matching of p*(i,k)
+    __slots__ = (
+        "i",
+        "k",
+        "a",
+        "t",
+        "edges_before",  # {(a,i), (t,k)}, subset of the matching of p
+        "edges_after",  # {(a,k), (t,i)}, subset of the matching of p*(i,k)
+    )
 
     @property
     def cycle_nodes(self) -> tuple:
@@ -87,19 +87,16 @@ def is_product_realized(g: BipartiteGraph, p: Permutation, psi: Transposition) -
     return all(g.has_edge(v, u) for v, u in w.edges_after)
 
 
-@dataclass(frozen=True)
-class GammaNode:
+class GammaNode(Record):
     """Edge-pair element at level `position`: (position k, t position).
 
     Transposition nodes have k > position and t > position; the identity
     node at a level has k = t = position.
     """
 
-    position: int
-    k: int
-    t: int
+    __slots__ = ("position", "k", "t")
 
-    def __post_init__(self):
+    def _validate(self):
         i = self.position
         if i < 1:
             raise ValueError("position must be >= 1")
@@ -149,26 +146,26 @@ class GammaNode:
         return self.label
 
 
-@dataclass(frozen=True)
-class GammaGraph:
+class GammaGraph(Record):
     """All level nodes for a given n plus the R and S relations."""
 
-    n: int
-    nodes: tuple  # position-major, identity first, then by (k, t)
-    r_edges: frozenset  # ordered pairs (x, y), position(x) < position(y)
-    s_edges: frozenset  # ordered pairs at adjacent positions, node-disjoint
+    __slots__ = (
+        "n",
+        "nodes",  # position-major, identity first, then by (k, t)
+        "r_edges",  # ordered pairs (x, y), position(x) < position(y)
+        "s_edges",  # ordered pairs at adjacent positions, node-disjoint
+    )
 
     def at_position(self, i: int) -> tuple:
         return tuple(x for x in self.nodes if x.position == i)
 
 
-@dataclass(frozen=True)
-class Cvmp:
+class Cvmp(Record):
     """A complete valid multiplication path: one node per level 1..n."""
 
-    nodes: tuple
+    __slots__ = ("nodes",)
 
-    def __post_init__(self):
+    def _validate(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
         n = len(self.nodes)
         for i, x in enumerate(self.nodes, start=1):
@@ -348,8 +345,7 @@ def export_dot(gamma: GammaGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass
-class StructureDiagnostics:
+class StructureDiagnostics(Record):
     """Shape numbers for the generating graph at a given n.
 
     unconstrained_walks counts level-1-to-n walks that only follow R/S edges
@@ -357,15 +353,14 @@ class StructureDiagnostics:
     reported alongside the valid-path count, never asserted equal to it.
     """
 
-    n: int
-    node_count: int
-    r_edge_count: int
-    s_edge_count: int
-    valid_paths: int | None
-    unconstrained_walks: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+    __slots__ = (
+        "n",
+        "node_count",
+        "r_edge_count",
+        "s_edge_count",
+        "valid_paths",  # None past ENUMERATE_MAX_N
+        "unconstrained_walks",
+    )
 
 
 def unconstrained_walk_count(gamma: GammaGraph) -> int:

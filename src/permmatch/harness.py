@@ -12,8 +12,8 @@ report so it can be replayed.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
 
+from ._record import Record
 from .bipartite import (
     BRUTEFORCE_MAX_N,
     RYSER_MAX_N,
@@ -63,36 +63,35 @@ def count_via_cvmp(g: BipartiteGraph) -> int:
     return walk(0, (1 << g.n) - 1)
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Record):
     """Counts of one graph by all three methods, and whether they agree."""
 
-    n: int
-    graph: str
-    count_cvmp: int
-    count_bruteforce: int
-    count_ryser: int
-    agreement: bool
-    elapsed: dict
+    __slots__ = (
+        "n",
+        "graph",
+        "count_cvmp",
+        "count_bruteforce",
+        "count_ryser",
+        "agreement",
+        "elapsed",  # seconds per method
+    )
 
-    def to_dict(self) -> dict:
-        return asdict(self)
 
-
-@dataclass
-class SweepReport:
+class SweepReport(Record):
     """Outcome of a sweep; trials and seed are None, and omitted, when exhaustive."""
 
-    n: int
-    mode: str
-    trials: int | None
-    seed: int | None
-    instances: int
-    agreement: bool
-    mismatches: list
+    __slots__ = (
+        "n",
+        "mode",  # "exhaustive" or "random"
+        "trials",
+        "seed",
+        "instances",
+        "agreement",
+        "mismatches",  # one dict per disagreeing graph, sorted by graph text
+    )
 
     def to_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if v is not None}
+        return {k: v for k, v in super().to_dict().items() if v is not None}
 
 
 def _instance_counts(g: BipartiteGraph) -> tuple[dict, dict]:

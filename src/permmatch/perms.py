@@ -10,7 +10,8 @@ transversal {I, (i,i+1), ..., (i,n)}; `sift` computes that factorization and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from ._record import Record
 
 
 class Permutation:
@@ -76,14 +77,12 @@ class Permutation:
         return f"Permutation({format_cycles(self)!r}, n={self.n})"
 
 
-@dataclass(frozen=True)
-class Transposition:
+class Transposition(Record):
     """The swap (i,k) with i < k, or the distinguished identity (i = k = 0)."""
 
-    i: int
-    k: int
+    __slots__ = ("i", "k")
 
-    def __post_init__(self):
+    def _validate(self):
         if (self.i, self.k) == (0, 0):
             return
         if not (1 <= self.i < self.k):
@@ -110,16 +109,17 @@ class Transposition:
         return "I" if self.is_identity else f"({self.i},{self.k})"
 
 
-@dataclass(frozen=True)
-class CosetChain:
+class CosetChain(Record):
     """Transversals U_1..U_n of the point-stabilizer chain of S_n.
 
     Level i holds {I, (i,i+1), ..., (i,n)}, identity first, so
     |U_i| = n - i + 1 and the level sizes multiply to n!.
     """
 
-    n: int
-    levels: tuple  # tuple of tuples of Transposition
+    __slots__ = (
+        "n",
+        "levels",  # tuple of tuples of Transposition
+    )
 
     def level(self, i: int) -> tuple:
         return self.levels[i - 1]

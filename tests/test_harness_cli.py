@@ -390,8 +390,9 @@ class TestCli:
         assert captured.err == "error: seed must be >= 0\n"
 
     def test_counting_commands_never_import_numpy(self, tmp_path):
-        # numpy is only for gen and random sweeps; a fresh interpreter shows
-        # what the counting commands load, which this test process cannot
+        # numpy is only for gen and random sweeps, and no command needs
+        # dataclasses or the inspect module it pulls in; a fresh interpreter
+        # shows what the counting commands load, which this test process cannot
         path = self.write_graph(tmp_path, "4\n1101\n0111\n1011\n1110\n")
         script = "\n".join([
             "import contextlib, io, sys",
@@ -404,6 +405,8 @@ class TestCli:
             "    with contextlib.redirect_stdout(io.StringIO()):",
             "        assert main(argv) == 0, argv",
             "assert 'numpy' not in sys.modules, 'numpy was imported'",
+            "loaded = {'dataclasses', 'inspect'} & set(sys.modules)",
+            "assert not loaded, f'{sorted(loaded)} imported'",
         ])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
