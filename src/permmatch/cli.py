@@ -11,7 +11,7 @@ diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
-import json
+import gc
 import sys
 
 from . import bipartite, gamma, harness
@@ -32,16 +32,24 @@ def _read_graph(path: str) -> bipartite.BipartiteGraph:
         raise ValueError(f"{path}: {exc}") from exc
 
 
+def _print_json(obj) -> None:
+    # json is imported here, not at the top: only verify, sweep and
+    # gamma --stats print JSON, and the other commands skip its import
+    import json
+
+    print(json.dumps(obj, indent=2))
+
+
 def _cmd_verify(args) -> int:
     g = _read_graph(args.file)
     report = harness.verify(g)
-    print(json.dumps(report.to_dict(), indent=2))
+    _print_json(report.to_dict())
     return 0 if report.agreement else 1
 
 
 def _cmd_sweep(args) -> int:
     report = harness.sweep(args.n, trials=args.trials, seed=args.seed)
-    print(json.dumps(report.to_dict(), indent=2))
+    _print_json(report.to_dict())
     return 0 if report.agreement else 1
 
 
@@ -49,7 +57,7 @@ def _cmd_gamma(args) -> int:
     if args.dot:
         print(gamma.export_dot(gamma.build_gamma(args.n)), end="")
     else:
-        print(json.dumps(gamma.gamma_stats(args.n).to_dict(), indent=2))
+        _print_json(gamma.gamma_stats(args.n).to_dict())
     return 0
 
 
@@ -137,7 +145,16 @@ def main(argv=None) -> int:
         return 2
 
 
-def entry() -> None:  # console-script wrapper
+def entry() -> None:
+    """Console-script and `python -m permmatch` wrapper around `main`.
+
+    Everything alive after import (the interpreter's start-up heap and this
+    package) lives until the process exits, so it is moved to the permanent
+    generation first: neither the collections during the command nor the
+    final one at shutdown walk it again.  `main` does not freeze, because it
+    also runs inside long-lived processes such as a test session.
+    """
+    gc.freeze()
     sys.exit(main())
 
 

@@ -145,6 +145,8 @@ def sweep(n: int, trials: int | None = None, seed: int | None = None) -> SweepRe
     Mismatching instances are embedded verbatim so a failure is always
     reproducible.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if n > SWEEP_MAX_N:
         raise ValueError(f"sweeps are guarded at n <= {SWEEP_MAX_N}")
     if trials is None:

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -30,6 +31,20 @@ from permmatch.gamma import build_gamma, unconstrained_walk_count
 from relabel import assert_relabel_invariant, shuffled, square_01
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_python(args):
+    """Run a fresh interpreter that imports this checkout's permmatch."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True
+    )
+
+
+def blank_elapsed(report):
+    """A verify report with its timing values, the only varying bytes, blanked."""
+    return re.sub(r'"elapsed": \{[^}]*\}', '"elapsed": {}', report)
 
 
 @pytest.fixture
@@ -389,6 +404,17 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == "error: seed must be >= 0\n"
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "mode", [["--exhaustive"], ["--trials", "2", "--seed", "1"]],
+        ids=["exhaustive", "random"],
+    )
+    def test_sweep_n_below_one_exits_2(self, mode, n, capsys):
+        assert main(["sweep", "--n", n, *mode]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n must be >= 1\n"
+
     def test_counting_commands_never_import_numpy(self, tmp_path):
         # numpy is only for gen and random sweeps, and no command needs
         # dataclasses or the inspect module it pulls in; a fresh interpreter
@@ -408,13 +434,83 @@ class TestCli:
             "loaded = {'dataclasses', 'inspect'} & set(sys.modules)",
             "assert not loaded, f'{sorted(loaded)} imported'",
         ])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(SRC), env.get("PYTHONPATH")])
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True
-        )
+        result = run_python(["-c", script])
+        assert result.returncode == 0, result.stderr
+
+    def test_report_free_commands_never_import_json(self, tmp_path):
+        # only verify, sweep and gamma --stats print JSON; the other commands
+        # must not pay for loading json, which a fresh interpreter shows
+        path = self.write_graph(tmp_path, "4\n1101\n0111\n1011\n1110\n")
+        script = "\n".join([
+            "import contextlib, io, sys",
+            "from permmatch.cli import main",
+            f"path = {path!r}",
+            "runs = [['count', '--method', m, path] for m in ('cvmp', 'brute', 'ryser')]",
+            "runs += [['factorize', '--n', '4', '(1,2,4,3)'], ['gamma', '--n', '3', '--dot']]",
+            "for argv in runs:",
+            "    with contextlib.redirect_stdout(io.StringIO()):",
+            "        assert main(argv) == 0, argv",
+            "assert 'json' not in sys.modules, 'json was imported'",
+        ])
+        result = run_python(["-c", script])
+        assert result.returncode == 0, result.stderr
+
+    def test_entry_point_in_a_fresh_process(self, tmp_path, capsys):
+        # main is what the other tests call; this runs the real entry point,
+        # entry(), as `python -m permmatch`, and checks it changes no byte
+        k4 = self.write_graph(tmp_path, "4\n1111\n1111\n1111\n1111\n")
+        result = run_python(["-m", "permmatch", "verify", k4])
+        assert result.returncode == 0, result.stderr
+        assert main(["verify", k4]) == 0
+        assert '"elapsed": {}' in blank_elapsed(result.stdout)
+        assert blank_elapsed(result.stdout) == blank_elapsed(capsys.readouterr().out)
+
+        bad = tmp_path / "bad.txt"
+        bad.write_text("2\n1x\n11\n")
+        result = run_python(["-m", "permmatch", "verify", str(bad)])
+        assert result.returncode == 2
+        assert result.stderr.startswith(f"error: {bad}:")
+        assert "Traceback" not in result.stderr
+
+        result = run_python(["-m", "permmatch", "sweep", "--n", "3"])
+        assert result.returncode == 2
+
+        # through a pipe, as `permmatch gamma --n 8 --dot | wc -l` reads it
+        result = run_python(["-m", "permmatch", "gamma", "--n", "8", "--dot"])
+        assert result.returncode == 0, result.stderr
+        assert main(["gamma", "--n", "8", "--dot"]) == 0
+        assert result.stdout == capsys.readouterr().out
+        assert result.stdout.count("\n") == 2244
+
+        # a wrong count reaches the exit status through entry() too
+        path = self.write_graph(tmp_path, "2\n11\n11\n")
+        script = "\n".join([
+            "import sys",
+            "import permmatch.harness as harness",
+            "from permmatch import cli",
+            "harness.count_via_cvmp = lambda g: -1",
+            f"sys.argv = ['permmatch', 'verify', {path!r}]",
+            "cli.entry()",
+        ])
+        assert run_python(["-c", script]).returncode == 1
+
+    def test_entry_freezes_the_start_up_heap(self):
+        # the point of entry() over main(): the objects alive after import
+        # are frozen, so the shutdown collection does not walk them
+        script = "\n".join([
+            "import contextlib, gc, io, sys",
+            "from permmatch import cli",
+            "sys.argv = ['permmatch', 'gamma', '--n', '3', '--stats']",
+            "try:",
+            "    with contextlib.redirect_stdout(io.StringIO()):",
+            "        cli.entry()",
+            "except SystemExit as exc:",
+            "    assert exc.code == 0, exc.code",
+            "else:",
+            "    raise AssertionError('entry() returned instead of exiting')",
+            "assert gc.get_freeze_count() > 0, 'nothing was frozen'",
+        ])
+        result = run_python(["-c", script])
         assert result.returncode == 0, result.stderr
 
     def test_mismatch_would_exit_1(self, monkeypatch, tmp_path, capsys):
