@@ -12,7 +12,6 @@ from .bipartite import (
     contains_matching,
     count_bruteforce,
     count_ryser,
-    matching_to_perm,
     parse_graph,
     perm_to_matching,
     random_graph,
@@ -42,8 +41,6 @@ from .perms import (
     Transposition,
     compose,
     coset_transversals,
-    format_cycles,
-    inverse,
     order_from_chain,
     parse_cycles,
     sift,

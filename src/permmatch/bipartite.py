@@ -96,18 +96,6 @@ class BipartiteGraph:
     def has_edge(self, v: int, w: int) -> bool:
         return bool(self.rows[v - 1] >> (w - 1) & 1)
 
-    @property
-    def edges(self) -> frozenset:
-        return frozenset(
-            (v, w)
-            for v in range(1, self.n + 1)
-            for w in range(1, self.n + 1)
-            if self.has_edge(v, w)
-        )
-
-    def matrix(self) -> list[list[int]]:
-        return [[r >> w & 1 for w in range(self.n)] for r in self.rows]
-
     def __eq__(self, other):
         return (
             isinstance(other, BipartiteGraph)
@@ -123,10 +111,7 @@ class BipartiteGraph:
 
 
 class Matching(Record):
-    """A set of v-w edges with every endpoint used at most once.
-
-    Perfect means every v and every w in 1..n is used exactly once.
-    """
+    """A set of v-w edges with every endpoint used at most once."""
 
     __slots__ = ("n", "pairs")
 
@@ -140,22 +125,9 @@ class Matching(Record):
             if not (1 <= v <= self.n and 1 <= w <= self.n):
                 raise ValueError(f"edge ({v},{w}) out of range 1..{self.n}")
 
-    @property
-    def is_perfect(self) -> bool:
-        return len(self.pairs) == self.n
-
 
 def perm_to_matching(p: Permutation) -> Matching:
     return Matching(p.n, frozenset((v, p.image(v)) for v in range(1, p.n + 1)))
-
-
-def matching_to_perm(m: Matching) -> Permutation:
-    if not m.is_perfect:
-        raise ValueError("matching is not perfect")
-    images = [0] * m.n
-    for v, w in m.pairs:
-        images[v - 1] = w
-    return Permutation(images)
 
 
 def contains_matching(g: BipartiteGraph, m: Matching) -> bool:
@@ -218,8 +190,9 @@ def count_bruteforce(g: BipartiteGraph) -> int:
 
 
 def count_ryser(g: BipartiteGraph) -> int:
-    """Count perfect matchings as the permanent of the adjacency matrix."""
-    return kernels.ryser_permanent(g.matrix())
+    """Count perfect matchings as the permanent of the adjacency matrix,
+    which the kernel reads as the graph's row bitmasks."""
+    return kernels.ryser_permanent(g.rows)
 
 
 def parse_graph(text: str) -> BipartiteGraph:

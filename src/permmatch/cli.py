@@ -15,7 +15,7 @@ import gc
 import sys
 
 from . import bipartite, gamma, harness
-from .perms import parse_cycles, sift
+from .perms import parse_cycles
 
 
 def _read_graph(path: str) -> bipartite.BipartiteGraph:
@@ -55,7 +55,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_gamma(args) -> int:
     if args.dot:
-        print(gamma.export_dot(gamma.build_gamma(args.n)), end="")
+        print(gamma.export_dot(args.n), end="")
     else:
         _print_json(gamma.gamma_stats(args.n).to_dict())
     return 0
@@ -63,9 +63,8 @@ def _cmd_gamma(args) -> int:
 
 def _cmd_factorize(args) -> int:
     p = parse_cycles(args.cycles, args.n)
-    factors = sift(p)
     path = gamma.perm_to_path(p)
-    print("*".join(str(psi) for psi in reversed(factors)))
+    print("*".join(str(x.psi) for x in reversed(path.nodes)))
     print(str(path))
     return 0
 

@@ -290,25 +290,6 @@ def surplus_edges(path: Cvmp) -> frozenset:
     return _consumed_edges(path)
 
 
-def surplus_attribution(path: Cvmp) -> dict:
-    """Charge each consumed edge to the pair (x_i, x_m) with x_m the nearest
-    later node whose edge pair contains it.  Keys are (x_i, x_m), values the
-    edge.  Such an x_m always exists for a valid path."""
-    validate_path(path)
-    out = {}
-    for i, x in enumerate(path.nodes):
-        ce = x.consumed_edge
-        if ce is None:
-            continue
-        for y in path.nodes[i + 1 :]:
-            if ce in y.node_edges:
-                out[(x, y)] = ce
-                break
-        else:
-            raise ValueError(f"consumed edge {ce} of {x} is never resolved")
-    return out
-
-
 def path_to_matching(path: Cvmp) -> Matching:
     """Union of node edges minus surplus edges; equals the matching of
     path_to_perm(path)."""
@@ -329,10 +310,12 @@ def edge_requirement(path: Cvmp, g: BipartiteGraph) -> frozenset:
     )
 
 
-def export_dot(gamma: GammaGraph) -> str:
-    """Render as a DOT digraph: solid R edges, dashed S edges."""
-    if gamma.n > DOT_MAX_N:
+def export_dot(n: int) -> str:
+    """Render the generating graph for n as a DOT digraph: solid R edges,
+    dashed S edges.  The guard is checked before the graph is built."""
+    if n > DOT_MAX_N:
         raise ValueError(f"DOT export is guarded at n <= {DOT_MAX_N}")
+    gamma = build_gamma(n)
     lines = ["digraph generating_graph {", "  rankdir=LR;"]
     for x in gamma.nodes:
         lines.append(f'  "{x.label}";')

@@ -1,5 +1,5 @@
-"""Permanent kernel: the permanent of a square 0/1 matrix by Glynn's formula
-(Glynn 2010),
+"""Permanent kernel: the permanent of a square 0/1 matrix, given as one
+column bitmask per row, by Glynn's formula (Glynn 2010),
 
       perm(A) = 2^-(n-1) * sum over d in {+1,-1}^n with d_1 = +1 of
                 (prod_i d_i) * prod_j (sum_i d_i * a_ij),
@@ -45,27 +45,6 @@ _ABS = bytes(abs(b - _BIAS) for b in range(256))
 _LIVE = bytes([1]) + bytes(255)  # flag byte 0 (no zero column sum) -> live
 
 
-def _row_bits(a) -> list[int]:
-    """The rows of a square 0/1 array-like as column bitmasks."""
-    try:
-        rows = [list(row) for row in a]
-    except TypeError:
-        raise ValueError("Ryser needs a square matrix") from None
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("Ryser needs a square matrix")
-    bits = []
-    for row in rows:
-        mask = 0
-        for j, e in enumerate(row):
-            if not (e == 0 or e == 1):
-                raise ValueError("Ryser is exact only for 0/1 entries")
-            if e:
-                mask |= 1 << j
-        bits.append(mask)
-    return bits
-
-
 def _zero_masks(start: int, low_rows: list, n: int) -> list:
     """For each column j of even degree: (j, {field value of base: dead}),
     where byte e of dead is 1 when low entry e cancels column j's sum.
@@ -97,9 +76,9 @@ def _zero_masks(start: int, low_rows: list, n: int) -> list:
     return masks
 
 
-def ryser_permanent(a) -> int:
-    """Permanent of a square 0/1 matrix, exact for n <= RYSER_MAX_N."""
-    rows = _row_bits(a)
+def ryser_permanent(rows) -> int:
+    """Permanent of the n x n 0/1 matrix whose entry (i, j) is bit j of
+    rows[i], as `BipartiteGraph.rows` holds it; exact for n <= RYSER_MAX_N."""
     n = len(rows)
     if n > RYSER_MAX_N:
         raise ValueError(f"Ryser is guarded at n <= {RYSER_MAX_N}")

@@ -44,10 +44,6 @@ class Permutation:
     def preimage(self, k: int) -> int:
         return self._images.index(k) + 1
 
-    def fixes(self, upto: int) -> bool:
-        """True iff every point in 1..upto is fixed."""
-        return all(self._images[i] == i + 1 for i in range(upto))
-
     def cycles(self) -> list:
         """Disjoint cycles, each starting at its minimum, ordered by minimum.
 
@@ -131,13 +127,6 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
         raise ValueError(f"size mismatch: {p.n} vs {q.n}")
     qi = q._images
     return Permutation(qi[x - 1] for x in p._images)
-
-
-def inverse(p: Permutation) -> Permutation:
-    images = [0] * p.n
-    for i, im in enumerate(p._images, start=1):
-        images[im - 1] = i
-    return Permutation(images)
 
 
 def coset_transversals(n: int) -> CosetChain:
@@ -268,11 +257,3 @@ def format_cycles(p: Permutation) -> str:
     if not cycs:
         return "()"
     return "".join("(" + ",".join(map(str, c)) + ")" for c in cycs)
-
-
-def all_permutations(n: int):
-    """All of S_n in lexicographic image-table order."""
-    import itertools
-
-    for images in itertools.permutations(range(1, n + 1)):
-        yield Permutation(images)

@@ -1,12 +1,17 @@
-"""Shared property: relabelling rows or columns, or transposing, leaves the
-number of perfect matchings unchanged.  Each counter's test module runs it
-with its own counter."""
+"""Shared test helpers.
 
+The relabelling property: relabelling rows or columns, or transposing,
+leaves the number of perfect matchings unchanged.  Each counter's test
+module runs it with its own counter.  Also all of S_n, and the check that a
+permutation fixes a prefix of its points, which only tests need.
+"""
+
+import itertools
 import random
 
 from hypothesis import strategies as st
 
-from permmatch import BipartiteGraph
+from permmatch import BipartiteGraph, Permutation
 
 square_01 = st.integers(1, 7).flatmap(
     lambda n: st.lists(
@@ -34,3 +39,14 @@ def shuffled(n, missing, seed):
     rnd = random.Random(seed)
     rows, cols = rnd.sample(range(n), n), rnd.sample(range(n), n)
     return [[int((w - v) % n not in missing) for w in cols] for v in rows]
+
+
+def all_permutations(n):
+    """All of S_n in lexicographic image-table order."""
+    for images in itertools.permutations(range(1, n + 1)):
+        yield Permutation(images)
+
+
+def fixes(p, upto):
+    """True iff p fixes every point in 1..upto."""
+    return p.images[:upto] == tuple(range(1, upto + 1))

@@ -36,7 +36,7 @@ from permmatch import (
     surplus_edges,
     unsift,
 )
-from permmatch.perms import all_permutations
+from relabel import all_permutations
 
 I = Transposition.identity()
 

@@ -3,6 +3,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +15,6 @@ from permmatch import (
     contains_matching,
     count_bruteforce,
     count_ryser,
-    matching_to_perm,
     parse_cycles,
     parse_graph,
     perm_to_matching,
@@ -22,8 +22,7 @@ from permmatch import (
     serialize_graph,
 )
 from permmatch.bipartite import _bit_table
-from permmatch.perms import all_permutations
-from relabel import assert_relabel_invariant, square_01
+from relabel import all_permutations, assert_relabel_invariant, square_01
 
 SIX_CYCLE = BipartiteGraph.from_matrix([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
 
@@ -41,18 +40,10 @@ class TestBijection:
         m = perm_to_matching(parse_cycles("(1,3,5)(2,4)", 5))
         assert m.pairs == {(1, 3), (3, 5), (5, 1), (2, 4), (4, 2)}
 
-    def test_inverse_direction(self):
-        for text, n in [("", 3), ("(1,2,4,3)", 4), ("(1,3,5)(2,4)", 5)]:
-            p = parse_cycles(text, n)
-            assert matching_to_perm(perm_to_matching(p)) == p
-
-    def test_mutually_inverse_on_s5(self):
-        for p in all_permutations(5):
-            assert matching_to_perm(perm_to_matching(p)) == p
-
-    def test_rejects_partial(self):
-        with pytest.raises(ValueError, match="not perfect"):
-            matching_to_perm(Matching(3, frozenset({(1, 2)})))
+    def test_injective_onto_perfect_matchings_on_s5(self):
+        matchings = {perm_to_matching(p) for p in all_permutations(5)}
+        assert len(matchings) == 120
+        assert all(len(m.pairs) == 5 for m in matchings)
 
     def test_matching_rejects_clashing_endpoint(self):
         with pytest.raises(ValueError):
@@ -174,6 +165,9 @@ class TestGraphRejects:
             (lambda: BipartiteGraph.from_matrix([]), "n must be >= 1"),
             (lambda: BipartiteGraph.from_matrix([[1, 0], [1]]), "square"),
             (lambda: BipartiteGraph.from_matrix([[2]]), "entries must be 0/1"),
+            (lambda: BipartiteGraph.from_matrix([[1, -1], [0, 1]]), "entries must be 0/1"),
+            (lambda: BipartiteGraph.from_matrix([[0.5, 1], [1, 1]]), "entries must be 0/1"),
+            (lambda: BipartiteGraph.from_matrix(np.array([[1, 1]])), "square"),
             (lambda: BipartiteGraph.from_edges(2, [(1, 3)]), r"edge \(1,3\) out of range"),
             (lambda: BipartiteGraph.from_edges(2, [(0, 1)]), r"edge \(0,1\) out of range"),
             (lambda: parse_graph("0\n"), "bad header n=0; must be >= 1"),
@@ -185,6 +179,9 @@ class TestGraphRejects:
             "matrix-empty",
             "matrix-ragged",
             "matrix-entry",
+            "matrix-negative",
+            "matrix-fraction",
+            "matrix-numpy-not-square",
             "edges-column",
             "edges-row",
             "parse-n0",

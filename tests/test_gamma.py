@@ -20,8 +20,8 @@ from permmatch import (
     random_graph,
     surplus_edges,
 )
-from permmatch.gamma import Cvmp, GammaNode, surplus_attribution
-from permmatch.perms import all_permutations
+from permmatch.gamma import Cvmp, GammaNode
+from relabel import all_permutations
 
 
 def figure_path():
@@ -158,17 +158,27 @@ class TestSurplus:
         path = perm_to_path(parse_cycles("(1,3)(2,4)", 4))
         assert surplus_edges(path) == {(3, 3), (4, 4)}
 
-    def test_attribution_figure(self):
-        attribution = surplus_attribution(figure_path())
-        nodes = figure_path().nodes
-        assert attribution[(nodes[0], nodes[1])] == (3, 2)
-        assert attribution[(nodes[2], nodes[3])] == (4, 4)
-
     def test_every_consumed_edge_resolves(self):
+        def resolving(path):
+            """(x, the nearest later node whose edge pair holds x's consumed
+            edge) for each transposition node x."""
+            out = []
+            for i, x in enumerate(path.nodes):
+                if x.is_identity:
+                    continue
+                later = [y for y in path.nodes[i + 1 :] if x.consumed_edge in y.node_edges]
+                assert later, f"consumed edge {x.consumed_edge} of {x} is never resolved"
+                out.append((x, later[0]))
+            return out
+
         for n in range(2, 7):
             for p in enumerate_cvmps(build_gamma(n)):
-                attribution = surplus_attribution(p)
-                assert set(attribution.values()) == set(surplus_edges(p))
+                pairs = resolving(p)
+                assert {x.consumed_edge for x, _ in pairs} == surplus_edges(p)
+        nodes = figure_path().nodes
+        pairs = resolving(figure_path())
+        assert (nodes[0], nodes[1]) in pairs and nodes[0].consumed_edge == (3, 2)
+        assert (nodes[2], nodes[3]) in pairs and nodes[2].consumed_edge == (4, 4)
 
 
 class TestPathMatching:
@@ -208,7 +218,7 @@ class TestEdgeRequirement:
 
     def test_missing_edge_reported(self):
         g = BipartiteGraph.from_edges(
-            4, set(BipartiteGraph.complete(4).edges) - {(2, 4)}
+            4, {(v, w) for v in range(1, 5) for w in range(1, 5)} - {(2, 4)}
         )
         assert edge_requirement(figure_path(), g) == {(2, 4)}
 
@@ -244,25 +254,25 @@ class TestAdjacencyStructure:
 
 class TestDot:
     def test_trivial(self):
-        text = export_dot(build_gamma(1))
+        text = export_dot(1)
         assert text.startswith("digraph")
         assert '"(11,11)"' in text
         assert "->" not in text
 
     def test_n2_by_hand(self):
-        text = export_dot(build_gamma(2))
+        text = export_dot(2)
         assert '"(12,21)"' in text and '"(11,11)"' in text and '"(22,22)"' in text
         assert '"(12,21)" -> "(22,22)" [style=solid];' in text
         assert '"(11,11)" -> "(22,22)" [style=dashed];' in text
 
     def test_n4_node_count(self):
-        text = export_dot(build_gamma(4))
+        text = export_dot(4)
         assert sum(1 for line in text.splitlines() if line.endswith('";')) == 18
         assert text.count("{") == text.count("}") == 1
 
     def test_deterministic(self):
-        assert export_dot(build_gamma(4)) == export_dot(build_gamma(4))
+        assert export_dot(4) == export_dot(4)
 
     def test_guard(self):
         with pytest.raises(ValueError):
-            export_dot(build_gamma(9))
+            export_dot(9)

@@ -296,6 +296,18 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.startswith("digraph") and out.rstrip().endswith("}")
 
+    def test_gamma_dot_refuses_before_building(self, monkeypatch, capsys):
+        import permmatch.gamma as gamma
+
+        def never(n):
+            raise AssertionError("built a generating graph that DOT export refuses")
+
+        monkeypatch.setattr(gamma, "build_gamma", never)
+        assert main(["gamma", "--n", "12", "--dot"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: DOT export is guarded at n <= 8\n"
+
     def test_factorize(self, capsys):
         assert main(["factorize", "--n", "4", "(1,3,2,4)"]) == 0
         lines = capsys.readouterr().out.splitlines()

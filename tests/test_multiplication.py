@@ -18,7 +18,7 @@ from permmatch import (
     perm_to_matching,
 )
 from permmatch.gamma import _level_node, validate_path
-from permmatch.perms import all_permutations
+from relabel import all_permutations, fixes
 
 
 def transpositions(n):
@@ -119,7 +119,7 @@ class TestEp:
         for n in range(2, 6):
             for p in all_permutations(n):
                 for psi in transpositions(n):
-                    if not p.fixes(psi.i):
+                    if not fixes(p, psi.i):
                         continue
                     w = four_cycle(p, psi)
                     assert w.a == psi.i

@@ -1,6 +1,5 @@
 """Permutation arithmetic, cycle notation, and the stabilizer chain."""
 
-import itertools
 import math
 
 import pytest
@@ -12,23 +11,17 @@ from permmatch import (
     Transposition,
     compose,
     coset_transversals,
-    format_cycles,
-    inverse,
     order_from_chain,
     parse_cycles,
     sift,
     unsift,
 )
-from permmatch.perms import all_permutations
+from permmatch.perms import format_cycles
+from relabel import all_permutations, fixes
 
 
 def perm(text, n):
     return parse_cycles(text, n)
-
-
-perms_st = st.integers(2, 7).flatmap(
-    lambda n: st.permutations(list(range(1, n + 1))).map(Permutation)
-)
 
 
 class TestCompose:
@@ -49,11 +42,6 @@ class TestCompose:
         with pytest.raises(ValueError):
             compose(Permutation.identity(3), Permutation.identity(4))
 
-    @given(perms_st)
-    def test_inverse_cancels(self, p):
-        assert compose(p, inverse(p)) == Permutation.identity(p.n)
-        assert compose(inverse(p), p) == Permutation.identity(p.n)
-
     @settings(max_examples=50)
     @given(st.data())
     def test_associativity(self, data):
@@ -61,17 +49,6 @@ class TestCompose:
         mk = st.permutations(list(range(1, n + 1))).map(Permutation)
         p, q, r = data.draw(mk), data.draw(mk), data.draw(mk)
         assert compose(compose(p, q), r) == compose(p, compose(q, r))
-
-
-class TestInverse:
-    def test_identity(self):
-        assert inverse(Permutation.identity(5)) == Permutation.identity(5)
-
-    def test_involution(self):
-        assert inverse(perm("(1,2)", 3)) == perm("(1,2)", 3)
-
-    def test_cycle(self):
-        assert inverse(perm("(1,2,4,3)", 4)) == perm("(1,3,4,2)", 4)
 
 
 class TestCycleText:
@@ -171,7 +148,7 @@ class TestSift:
         residue = p
         for i, psi in enumerate(sift(p), start=1):
             residue = compose(residue, psi.to_perm(5))
-            assert residue.fixes(i)
+            assert fixes(residue, i)
 
 
 class TestUnsift:
