@@ -147,6 +147,19 @@ class TestEnumeration:
             list(enumerate_cvmps(build_gamma(8)))
 
 
+def resolving(path):
+    """(x, the nearest later node whose edge pair holds x's consumed edge)
+    for each transposition node x."""
+    out = []
+    for i, x in enumerate(path.nodes):
+        if x.is_identity:
+            continue
+        later = [y for y in path.nodes[i + 1 :] if x.consumed_edge in y.node_edges]
+        assert later, f"consumed edge {x.consumed_edge} of {x} is never resolved"
+        out.append((x, later[0]))
+    return out
+
+
 class TestSurplus:
     def test_figure_surplus(self):
         assert surplus_edges(figure_path()) == {(3, 2), (3, 4), (4, 4)}
@@ -158,27 +171,17 @@ class TestSurplus:
         path = perm_to_path(parse_cycles("(1,3)(2,4)", 4))
         assert surplus_edges(path) == {(3, 3), (4, 4)}
 
-    def test_every_consumed_edge_resolves(self):
-        def resolving(path):
-            """(x, the nearest later node whose edge pair holds x's consumed
-            edge) for each transposition node x."""
-            out = []
-            for i, x in enumerate(path.nodes):
-                if x.is_identity:
-                    continue
-                later = [y for y in path.nodes[i + 1 :] if x.consumed_edge in y.node_edges]
-                assert later, f"consumed edge {x.consumed_edge} of {x} is never resolved"
-                out.append((x, later[0]))
-            return out
-
-        for n in range(2, 7):
-            for p in enumerate_cvmps(build_gamma(n)):
-                pairs = resolving(p)
-                assert {x.consumed_edge for x, _ in pairs} == surplus_edges(p)
+    def test_attribution_figure(self):
         nodes = figure_path().nodes
         pairs = resolving(figure_path())
         assert (nodes[0], nodes[1]) in pairs and nodes[0].consumed_edge == (3, 2)
         assert (nodes[2], nodes[3]) in pairs and nodes[2].consumed_edge == (4, 4)
+
+    def test_every_consumed_edge_resolves(self):
+        for n in range(2, 7):
+            for p in enumerate_cvmps(build_gamma(n)):
+                pairs = resolving(p)
+                assert {x.consumed_edge for x, _ in pairs} == surplus_edges(p)
 
 
 class TestPathMatching:

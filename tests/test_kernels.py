@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permmatch import count_ryser, kernels
+from permmatch import BipartiteGraph, count_ryser, kernels
 from relabel import assert_relabel_invariant, shuffled, square_01
 
 
@@ -92,6 +92,14 @@ class TestRyser:
         n = 21
         a = np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64)
         assert kernels.ryser_permanent(bitmasks(a)) == derangements(n)
+
+    @pytest.mark.parametrize(
+        "a", [[[2]], [[1, -1], [0, 1]], [[0.5, 1], [1, 1]], [[1, 1]]]
+    )
+    def test_rejects_non_01_or_non_square(self, a):
+        # The kernel reads bitmasks; a matrix reaches it through the graph.
+        with pytest.raises(ValueError):
+            count_ryser(BipartiteGraph.from_matrix(np.array(a)))
 
     def test_guard(self):
         with pytest.raises(ValueError, match="n <= 24"):
