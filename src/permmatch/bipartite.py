@@ -34,13 +34,14 @@ from .perms import Permutation
 BRUTEFORCE_MAX_N = 9
 
 
-class BipartiteGraph:
+class BipartiteGraph(Record):
     """Square bipartite graph; row v stores its neighbors as a bitset."""
 
     __slots__ = ("n", "rows")
 
-    def __init__(self, n: int, rows):
-        rows = tuple(int(r) for r in rows)
+    def _validate(self):
+        n = self.n
+        rows = tuple(int(r) for r in self.rows)
         if n < 1:
             raise ValueError("n must be >= 1")
         if len(rows) != n:
@@ -49,8 +50,7 @@ class BipartiteGraph:
         for v, r in enumerate(rows, start=1):
             if r & ~full:
                 raise ValueError(f"row {v} has bits outside 1..{n}")
-        self.n = n
-        self.rows = rows
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def from_matrix(cls, matrix) -> "BipartiteGraph":
@@ -95,19 +95,6 @@ class BipartiteGraph:
 
     def has_edge(self, v: int, w: int) -> bool:
         return bool(self.rows[v - 1] >> (w - 1) & 1)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BipartiteGraph)
-            and self.n == other.n
-            and self.rows == other.rows
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.rows))
-
-    def __repr__(self):
-        return f"BipartiteGraph(n={self.n}, rows={self.rows})"
 
 
 class Matching(Record):

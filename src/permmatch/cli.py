@@ -1,17 +1,19 @@
 """Command-line entry point.
 
 Exit status contract: 0 = all counts agree, 1 = counting mismatch found,
-2 = usage or parse error.  `verify` counts by all three methods (cvmp, brute
-force, Ryser) at n <= 9 and refuses n > 9, before counting anything, with
-exit status 2: past n = 9 only Ryser reaches (n <= 24), and one count would
-compare nothing.  Reports go to stdout as JSON with fixed key order;
-diagnostics go to stderr.
+2 = usage or parse error, 141 = stdout was closed before all output was
+written.  `verify` counts by all three methods (cvmp, brute force, Ryser)
+at n <= 9 and refuses n > 9, before counting anything, with exit status 2:
+past n = 9 only Ryser reaches (n <= 24), and one count would compare
+nothing.  Reports go to stdout as JSON with fixed key order; diagnostics go
+to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 
 from . import bipartite, gamma, harness
@@ -154,7 +156,17 @@ def entry() -> None:
     also runs inside long-lived processes such as a test session.
     """
     gc.freeze()
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left early (`| head -1`): exit 141, as a shell reports a
+        # process SIGPIPE ended, not 1, which reads as a counting mismatch.
+        # What is still buffered goes to /dev/null, so the shutdown flush
+        # cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 141
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -158,8 +158,6 @@ def sweep(n: int, trials: int | None = None, seed: int | None = None) -> SweepRe
             raise ValueError("random sweeps need a seed")
         if trials < 1:
             raise ValueError(f"random sweeps need trials >= 1, got {trials}")
-        if seed < 0:
-            raise ValueError("seed must be >= 0")
         graphs = (random_graph(n, SWEEP_DENSITY, seed + t) for t in range(trials))
 
     instances = 0

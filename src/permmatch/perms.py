@@ -14,63 +14,34 @@ import math
 from ._record import Record
 
 
-class Permutation:
-    """A bijection of {1..n} stored as an image table."""
+class Permutation(Record):
+    """A bijection of {1..n} stored as an image table: images[i-1] is the
+    image of point i."""
 
-    __slots__ = ("n", "_images")
+    __slots__ = ("images",)
 
-    def __init__(self, images):
-        imgs = tuple(images)
+    def _validate(self):
+        imgs = tuple(self.images)
         n = len(imgs)
         if n < 1:
             raise ValueError("permutation needs at least one point")
         if sorted(imgs) != list(range(1, n + 1)):
             raise ValueError(f"image table is not a bijection of 1..{n}: {imgs}")
-        self.n = n
-        self._images = imgs
+        object.__setattr__(self, "images", imgs)
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
         return cls(range(1, n + 1))
 
     @property
-    def images(self) -> tuple:
-        """Image table: images[i-1] is the image of point i."""
-        return self._images
+    def n(self) -> int:
+        return len(self.images)
 
     def image(self, i: int) -> int:
-        return self._images[i - 1]
+        return self.images[i - 1]
 
     def preimage(self, k: int) -> int:
-        return self._images.index(k) + 1
-
-    def cycles(self) -> list:
-        """Disjoint cycles, each starting at its minimum, ordered by minimum.
-
-        Fixed points are omitted; the identity yields [].
-        """
-        seen = [False] * (self.n + 1)
-        out = []
-        for start in range(1, self.n + 1):
-            if seen[start] or self.image(start) == start:
-                continue
-            cyc = []
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                cyc.append(j)
-                j = self.image(j)
-            out.append(tuple(cyc))
-        return out
-
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self._images == other._images
-
-    def __hash__(self):
-        return hash(self._images)
-
-    def __repr__(self):
-        return f"Permutation({format_cycles(self)!r}, n={self.n})"
+        return self.images.index(k) + 1
 
 
 class Transposition(Record):
@@ -125,8 +96,8 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     """Left-to-right product: the result maps i to q(p(i))."""
     if p.n != q.n:
         raise ValueError(f"size mismatch: {p.n} vs {q.n}")
-    qi = q._images
-    return Permutation(qi[x - 1] for x in p._images)
+    qi = q.images
+    return Permutation(qi[x - 1] for x in p.images)
 
 
 def coset_transversals(n: int) -> CosetChain:
@@ -248,12 +219,3 @@ def parse_cycles(text: str, n: int) -> Permutation:
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
             images[a] = b
     return Permutation(images[1:])
-
-
-def format_cycles(p: Permutation) -> str:
-    """Canonic cycle text: minimum element first per cycle, cycles ordered by
-    minimum, fixed points omitted; the identity prints as "()"."""
-    cycs = p.cycles()
-    if not cycs:
-        return "()"
-    return "".join("(" + ",".join(map(str, c)) + ")" for c in cycs)

@@ -2,8 +2,9 @@
 
 The relabelling property: relabelling rows or columns, or transposing,
 leaves the number of perfect matchings unchanged.  Each counter's test
-module runs it with its own counter.  Also all of S_n, and the check that a
-permutation fixes a prefix of its points, which only tests need.
+module runs it with its own counter.  Also all of S_n, the check that a
+permutation fixes a prefix of its points, and cycle text for a
+permutation, which only tests need.
 """
 
 import itertools
@@ -50,3 +51,21 @@ def all_permutations(n):
 def fixes(p, upto):
     """True iff p fixes every point in 1..upto."""
     return p.images[:upto] == tuple(range(1, upto + 1))
+
+
+def format_cycles(p):
+    """Canonic cycle text: minimum element first per cycle, cycles ordered by
+    minimum, fixed points omitted; the identity prints as "()"."""
+    seen = [False] * (p.n + 1)
+    out = []
+    for start in range(1, p.n + 1):
+        if seen[start] or p.image(start) == start:
+            continue
+        cyc = []
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            cyc.append(str(j))
+            j = p.image(j)
+        out.append("(" + ",".join(cyc) + ")")
+    return "".join(out) or "()"

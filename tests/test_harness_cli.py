@@ -33,12 +33,12 @@ from relabel import assert_relabel_invariant, shuffled, square_01
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_python(args):
+def run_python(args, stdout=subprocess.PIPE):
     """Run a fresh interpreter that imports this checkout's permmatch."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True
+        [sys.executable, *args], env=env, stdout=stdout, stderr=subprocess.PIPE, text=True
     )
 
 
@@ -505,6 +505,25 @@ class TestCli:
             "cli.entry()",
         ])
         assert run_python(["-c", script]).returncode == 1
+
+    def test_closed_stdout_exits_141_silently(self, tmp_path):
+        # the reader quit before the output was written, as `| head -1` does;
+        # 141 is the status a shell reports for a process SIGPIPE ended
+        k3 = self.write_graph(tmp_path, "3\n111\n111\n111\n")
+        commands = (
+            ["verify", k3],
+            ["sweep", "--n", "2", "--exhaustive"],
+            ["gamma", "--n", "8", "--dot"],
+            ["factorize", "--n", "4", "(1,2,4,3)"],
+        )
+        for argv in commands:
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                result = run_python(["-m", "permmatch", *argv], stdout=write_end)
+            finally:
+                os.close(write_end)
+            assert (result.returncode, result.stderr) == (141, ""), argv
 
     def test_entry_freezes_the_start_up_heap(self):
         # the point of entry() over main(): the objects alive after import

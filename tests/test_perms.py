@@ -16,8 +16,7 @@ from permmatch import (
     sift,
     unsift,
 )
-from permmatch.perms import format_cycles
-from relabel import all_permutations, fixes
+from relabel import all_permutations, fixes, format_cycles
 
 
 def perm(text, n):

@@ -32,6 +32,8 @@ def _fields(record):
 
 # One real instance of each record class, built the way the package builds it.
 EXAMPLES = {
+    "BipartiteGraph": lambda: BipartiteGraph.complete(3),
+    "Permutation": lambda: parse_cycles("(1,2,3)", 3),
     "Transposition": lambda: Transposition(1, 2),
     "CosetChain": lambda: coset_transversals(3),
     "Matching": lambda: Matching(2, frozenset({(1, 2), (2, 1)})),
@@ -124,6 +126,7 @@ class TestExamples:
     def test_repr_reads_like_a_constructor_call(self):
         assert repr(Transposition(1, 2)) == "Transposition(i=1, k=2)"
         assert repr(GammaNode(2, 3, 4)) == "GammaNode(position=2, k=3, t=4)"
+        assert repr(parse_cycles("(1,2,3)", 3)) == "Permutation(images=(2, 3, 1))"
         assert (
             repr(perm_to_path(parse_cycles("(1,2)", 2)))
             == "Cvmp(nodes=(GammaNode(position=1, k=2, t=2), GammaNode(position=2, k=2, t=2)))"
