@@ -163,7 +163,8 @@ def count_bruteforce(g: BipartiteGraph) -> int:
     """
     if g.n > BRUTEFORCE_MAX_N:
         raise ValueError(
-            f"brute force is guarded at n <= {BRUTEFORCE_MAX_N}; use count_ryser"
+            f"brute force is guarded at n <= {BRUTEFORCE_MAX_N}; "
+            "use `count --method ryser`"
         )
     n = g.n
     alive = -1

@@ -129,21 +129,8 @@ class GammaNode(Record):
             return Transposition.identity()
         return Transposition(self.position, self.k)
 
-    @property
-    def touched(self) -> frozenset:
-        """Bipartite nodes covered by node_edges, as ('v'|'w', point) labels."""
-        out = set()
-        for v, w in self.node_edges:
-            out.add(("v", v))
-            out.add(("w", w))
-        return frozenset(out)
-
-    @property
-    def label(self) -> str:
-        return f"({self.position}{self.k},{self.t}{self.position})"
-
     def __str__(self):
-        return self.label
+        return f"({self.position}{self.k},{self.t}{self.position})"
 
 
 class GammaGraph(Record):
@@ -179,7 +166,7 @@ class Cvmp(Record):
         return len(self.nodes)
 
     def __str__(self):
-        return "".join(x.label for x in self.nodes)
+        return "".join(map(str, self.nodes))
 
 
 def build_gamma(n: int) -> GammaGraph:
@@ -202,14 +189,16 @@ def build_gamma(n: int) -> GammaGraph:
             if y.position > x.position and ce in y.node_edges:
                 r_edges.add((x, y))
 
+    # Node (i, k, t) covers rows {i, t} and columns {i, k} of K_{n,n}.
     s_edges = set()
     by_pos = {}
     for x in nodes:
         by_pos.setdefault(x.position, []).append(x)
     for i in range(1, n):
         for x in by_pos[i]:
+            rows, cols = {i, x.t}, {i, x.k}
             for y in by_pos[i + 1]:
-                if not (x.touched & y.touched):
+                if rows.isdisjoint((i + 1, y.t)) and cols.isdisjoint((i + 1, y.k)):
                     s_edges.add((x, y))
 
     return GammaGraph(n, tuple(nodes), frozenset(r_edges), frozenset(s_edges))
@@ -256,15 +245,15 @@ def perm_to_path(q: Permutation) -> Cvmp:
     )
 
 
-def enumerate_cvmps(gamma: GammaGraph):
-    """Yield every valid path of gamma, depth-first from level n down to 1.
+def enumerate_cvmps(n: int):
+    """Yield all n! valid paths, depth-first from level n down to 1.
 
-    At each level the identity node comes first, then targets k in increasing
-    order; t is forced by the suffix product, so exactly n! paths come out.
+    Nodes come from `_level_node`; no generating graph is built.  At each
+    level the identity node comes first, then targets k in increasing order,
+    and t is forced by the suffix product.
     """
-    n = gamma.n
-    if n > ENUMERATE_MAX_N:
-        raise ValueError(f"enumeration is guarded at n <= {ENUMERATE_MAX_N}")
+    if not 1 <= n <= ENUMERATE_MAX_N:
+        raise ValueError(f"enumeration is guarded at 1 <= n <= {ENUMERATE_MAX_N}")
 
     def rec(i: int, suffix: Permutation, tail: list):
         if i == 0:
@@ -280,24 +269,19 @@ def enumerate_cvmps(gamma: GammaGraph):
     yield from rec(n, Permutation.identity(n), [])
 
 
-def _consumed_edges(path: Cvmp) -> frozenset:
-    return frozenset(x.consumed_edge for x in path.nodes if not x.is_identity)
-
-
 def surplus_edges(path: Cvmp) -> frozenset:
     """Consumed edges of all transposition nodes of a valid path."""
     validate_path(path)
-    return _consumed_edges(path)
+    return frozenset(x.consumed_edge for x in path.nodes if not x.is_identity)
 
 
 def path_to_matching(path: Cvmp) -> Matching:
     """Union of node edges minus surplus edges; equals the matching of
-    path_to_perm(path)."""
-    validate_path(path)
+    path_to_perm(path).  The path is validated once, by surplus_edges."""
     union = set()
     for x in path.nodes:
         union |= x.node_edges
-    pairs = union - _consumed_edges(path)
+    pairs = union - surplus_edges(path)
     return Matching(path.n, frozenset(pairs))
 
 
@@ -318,12 +302,12 @@ def export_dot(n: int) -> str:
     gamma = build_gamma(n)
     lines = ["digraph generating_graph {", "  rankdir=LR;"]
     for x in gamma.nodes:
-        lines.append(f'  "{x.label}";')
+        lines.append(f'  "{x}";')
     key = lambda e: (e[0].position, e[0].k, e[0].t, e[1].position, e[1].k, e[1].t)
     for x, y in sorted(gamma.r_edges, key=key):
-        lines.append(f'  "{x.label}" -> "{y.label}" [style=solid];')
+        lines.append(f'  "{x}" -> "{y}" [style=solid];')
     for x, y in sorted(gamma.s_edges, key=key):
-        lines.append(f'  "{x.label}" -> "{y.label}" [style=dashed];')
+        lines.append(f'  "{x}" -> "{y}" [style=dashed];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -364,10 +348,7 @@ def unconstrained_walk_count(gamma: GammaGraph) -> int:
 
 def gamma_stats(n: int) -> StructureDiagnostics:
     gamma = build_gamma(n)
-    if n <= ENUMERATE_MAX_N:
-        valid = sum(1 for _ in enumerate_cvmps(gamma))
-    else:
-        valid = None
+    valid = sum(1 for _ in enumerate_cvmps(n)) if n <= ENUMERATE_MAX_N else None
     return StructureDiagnostics(
         n=n,
         node_count=len(gamma.nodes),

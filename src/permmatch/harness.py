@@ -45,7 +45,9 @@ def count_via_cvmp(g: BipartiteGraph) -> int:
     leaves in the worst case (K_{n,n}).
     """
     if g.n > CVMP_MAX_N:
-        raise ValueError(f"path counting is guarded at n <= {CVMP_MAX_N}")
+        raise ValueError(
+            f"path counting is guarded at n <= {CVMP_MAX_N}; use `count --method ryser`"
+        )
     rows = g.rows
     last = g.n - 1
 
@@ -141,9 +143,9 @@ def sweep(n: int, trials: int | None = None, seed: int | None = None) -> SweepRe
     """Cross-check the counting methods over many instances.
 
     With trials None the sweep is exhaustive, over all 2^(n*n) graphs
-    (n <= 4); otherwise it draws `trials` seeded half-density instances.
-    Mismatching instances are embedded verbatim so a failure is always
-    reproducible.
+    (n <= 4), and takes no seed; otherwise it draws `trials` seeded
+    half-density instances.  Mismatching instances are embedded verbatim so
+    a failure is always reproducible.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -152,6 +154,8 @@ def sweep(n: int, trials: int | None = None, seed: int | None = None) -> SweepRe
     if trials is None:
         if n > EXHAUSTIVE_MAX_N:
             raise ValueError(f"exhaustive sweeps are guarded at n <= {EXHAUSTIVE_MAX_N}")
+        if seed is not None:
+            raise ValueError("exhaustive sweeps take no seed")
         graphs = (BipartiteGraph.from_mask(n, m) for m in range(1 << (n * n)))
     else:
         if seed is None:
@@ -175,7 +179,7 @@ def sweep(n: int, trials: int | None = None, seed: int | None = None) -> SweepRe
         n=n,
         mode="exhaustive" if trials is None else "random",
         trials=trials,
-        seed=None if trials is None else seed,
+        seed=seed,
         instances=instances,
         agreement=not mismatches,
         mismatches=mismatches,

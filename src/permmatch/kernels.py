@@ -45,25 +45,23 @@ _ABS = bytes(abs(b - _BIAS) for b in range(256))
 _LIVE = bytes([1]) + bytes(255)  # flag byte 0 (no zero column sum) -> live
 
 
-def _zero_masks(start: int, low_rows: list, n: int) -> list:
+def _zero_masks(start: int, low: list, n: int) -> list:
     """For each column j of even degree: (j, {field value of base: dead}),
-    where byte e of dead is 1 when low entry e cancels column j's sum.
+    where byte e of dead is 1 when entry e of the low table cancels column
+    j's sum.
 
     Low entry e subtracts twice the number of its flipped rows with an entry
     in column j from the field, so the column sum is zero exactly when
-    base's field is _BIAS plus that amount.  A column of odd degree never
-    sums to zero: s_j = deg(j) (mod 2) for every sign vector.
+    base's field is _BIAS plus that amount.  Those amounts are the 8-bit
+    fields of -offset; each is at most 2 * _LOW_BITS, so none carries into
+    the next field.  A column of odd degree never sums to zero:
+    s_j = deg(j) (mod 2) for every sign vector.
     """
     even = [j for j, v in enumerate(start.to_bytes(n, "little")) if not v & 1]
     if not even:
         return []
     # Those amounts, n bytes per low entry in the order of the low table.
-    flips, rep, width = 0, 1, 8 * n
-    for f in low_rows:
-        flips |= (flips + 2 * f * rep) << width
-        rep |= rep << width
-        width *= 2
-    flips = flips.to_bytes(n << len(low_rows), "little")
+    flips = b"".join((-off).to_bytes(n, "little") for off, _ in low)
     masks = []
     for j in even:
         column = flips[j::n]
@@ -98,7 +96,7 @@ def ryser_permanent(rows) -> int:
         low += [(off - 2 * f, odd ^ 1) for off, odd in low]
     # With one Gray step (n <= _LOW_BITS + 1) each table would be read once;
     # building it costs about what it saves there, and more at small n.
-    masks = _zero_masks(start, low_rows, n) if high_rows else []
+    masks = _zero_masks(start, low, n) if high_rows else []
 
     prod, abs_table, compress = math.prod, _ABS, itertools.compress
     total = 0

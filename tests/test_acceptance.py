@@ -95,7 +95,7 @@ def test_criterion_5_path_bijection():
     for n in range(2, 7):
         images = set()
         count = 0
-        for p in enumerate_cvmps(build_gamma(n)):
+        for p in enumerate_cvmps(n):
             q = path_to_perm(p)
             assert perm_to_path(q) == p
             assert path_to_matching(p) == perm_to_matching(q)
@@ -165,7 +165,7 @@ def test_criterion_10_structural_diagnostics():
     assert len(build_gamma(4).nodes) == 18
     for n in range(2, 7):
         gm = build_gamma(n)
-        for p in enumerate_cvmps(gm):
+        for p in enumerate_cvmps(n):
             for x, y in zip(p.nodes, p.nodes[1:]):
                 assert (x, y) in gm.r_edges or (x, y) in gm.s_edges
     stats = gamma_stats(4)

@@ -54,6 +54,25 @@ class TestBuildGamma:
         assert (GammaNode(1, 2, 3), GammaNode(2, 4, 3)) in gm.r_edges
         assert (GammaNode(3, 4, 4), GammaNode(4, 4, 4)) in gm.r_edges
 
+    def test_s_edges_by_definition(self):
+        # S joins adjacent-level nodes whose edges share no row and no column
+        def rows(x):
+            return {v for v, _ in x.node_edges}
+
+        def cols(x):
+            return {w for _, w in x.node_edges}
+
+        for n in range(1, 9):
+            gm = build_gamma(n)
+            expect = {
+                (x, y)
+                for i in range(1, n)
+                for x in gm.at_position(i)
+                for y in gm.at_position(i + 1)
+                if not (rows(x) & rows(y) or cols(x) & cols(y))
+            }
+            assert gm.s_edges == expect, n
+
     def test_relations_disjoint(self):
         gm = build_gamma(5)
         assert not (gm.r_edges & gm.s_edges)
@@ -119,17 +138,17 @@ class TestPathPerm:
 
 class TestEnumeration:
     def test_counts(self):
-        assert sum(1 for _ in enumerate_cvmps(build_gamma(3))) == 6
-        assert sum(1 for _ in enumerate_cvmps(build_gamma(4))) == 24
+        assert sum(1 for _ in enumerate_cvmps(3)) == 6
+        assert sum(1 for _ in enumerate_cvmps(4)) == 24
 
     def test_contains_figure_path(self):
-        assert figure_path() in set(enumerate_cvmps(build_gamma(4)))
+        assert figure_path() in set(enumerate_cvmps(4))
 
     def test_bijection(self):
         for n in range(2, 7):
             images = set()
             count = 0
-            for p in enumerate_cvmps(build_gamma(n)):
+            for p in enumerate_cvmps(n):
                 q = path_to_perm(p)
                 assert perm_to_path(q) == p
                 images.add(q)
@@ -138,13 +157,17 @@ class TestEnumeration:
             assert images == set(all_permutations(n))
 
     def test_deterministic_order(self):
-        first = [str(p) for p in enumerate_cvmps(build_gamma(3))]
-        second = [str(p) for p in enumerate_cvmps(build_gamma(3))]
+        first = [str(p) for p in enumerate_cvmps(3)]
+        second = [str(p) for p in enumerate_cvmps(3)]
         assert first == second
 
     def test_guard(self):
         with pytest.raises(ValueError):
-            list(enumerate_cvmps(build_gamma(8)))
+            list(enumerate_cvmps(8))
+
+    def test_guard_below_one(self):
+        with pytest.raises(ValueError, match="enumeration is guarded at 1 <= n <= 7"):
+            next(enumerate_cvmps(0))
 
 
 def resolving(path):
@@ -179,7 +202,7 @@ class TestSurplus:
 
     def test_every_consumed_edge_resolves(self):
         for n in range(2, 7):
-            for p in enumerate_cvmps(build_gamma(n)):
+            for p in enumerate_cvmps(n):
                 pairs = resolving(p)
                 assert {x.consumed_edge for x, _ in pairs} == surplus_edges(p)
 
@@ -202,21 +225,21 @@ class TestPathMatching:
             return real(path)
 
         monkeypatch.setattr(gamma, "validate_path", counting)
-        paths = list(enumerate_cvmps(build_gamma(4)))
+        paths = list(enumerate_cvmps(4))
         for p in paths:
             path_to_matching(p)
         assert len(calls) == len(paths) == 24
 
     def test_equals_perm_matching_exhaustive(self):
         for n in range(2, 6):
-            for p in enumerate_cvmps(build_gamma(n)):
+            for p in enumerate_cvmps(n):
                 assert path_to_matching(p) == perm_to_matching(path_to_perm(p))
 
 
 class TestEdgeRequirement:
     def test_complete_requires_nothing(self):
         g = BipartiteGraph.complete(4)
-        for p in enumerate_cvmps(build_gamma(4)):
+        for p in enumerate_cvmps(4):
             assert edge_requirement(p, g) == frozenset()
 
     def test_missing_edge_reported(self):
@@ -234,7 +257,7 @@ class TestEdgeRequirement:
 
     def test_empty_iff_contained(self):
         for n in range(3, 6):
-            paths = list(enumerate_cvmps(build_gamma(n)))
+            paths = list(enumerate_cvmps(n))
             for seed in range(100):
                 g = random_graph(n, 0.5, 500 + seed)
                 for p in paths:
@@ -250,7 +273,7 @@ class TestAdjacencyStructure:
     def test_consecutive_nodes_linked_or_disjoint(self):
         for n in range(2, 7):
             gm = build_gamma(n)
-            for p in enumerate_cvmps(gm):
+            for p in enumerate_cvmps(n):
                 for x, y in zip(p.nodes, p.nodes[1:]):
                     assert (x, y) in gm.r_edges or (x, y) in gm.s_edges
 

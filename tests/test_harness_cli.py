@@ -79,12 +79,12 @@ class TestCountViaCvmp:
         def qualified(g, paths):
             return sum(1 for p in paths if not edge_requirement(p, g))
 
-        paths = list(enumerate_cvmps(build_gamma(3)))
+        paths = list(enumerate_cvmps(3))
         for mask in range(1 << 9):
             g = BipartiteGraph.from_mask(3, mask)
             assert count_via_cvmp(g) == qualified(g, paths), mask
         for n in (4, 5):
-            paths = list(enumerate_cvmps(build_gamma(n)))
+            paths = list(enumerate_cvmps(n))
             for density in (0.3, 0.5, 0.8):
                 for seed in range(10):
                     g = random_graph(n, density, 600 + seed)
@@ -169,6 +169,10 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(5)
 
+    def test_exhaustive_takes_no_seed(self):
+        with pytest.raises(ValueError, match="exhaustive sweeps take no seed"):
+            sweep(3, seed=4)
+
     def test_dict_key_order_fixed(self):
         keys = ["n", "mode", "instances", "agreement", "mismatches"]
         assert list(sweep(2).to_dict()) == keys
@@ -223,6 +227,17 @@ class TestStructureDiagnostics:
     def test_walks_by_hand_n2(self):
         # level-1 nodes (11,11) and (12,21) each step to the lone (22,22)
         assert unconstrained_walk_count(build_gamma(2)) == 2
+
+    def test_largest_built_graph(self):
+        # n = 12 is the largest n the build guard allows
+        assert gamma_stats(12).to_dict() == {
+            "n": 12,
+            "node_count": 518,
+            "r_edge_count": 2486,
+            "s_edge_count": 20449,
+            "valid_paths": None,
+            "unconstrained_walks": 18392167676352,
+        }
 
 
 class TestCli:
@@ -371,6 +386,20 @@ class TestCli:
     def test_gamma_stats_past_enumeration_guard(self, capsys):
         assert main(["gamma", "--n", "8", "--stats"]) == 0
         assert json.loads(capsys.readouterr().out)["valid_paths"] is None
+
+    def test_exhaustive_sweep_with_seed_exits_2(self, capsys):
+        assert main(["sweep", "--n", "3", "--exhaustive", "--seed", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: exhaustive sweeps take no seed\n"
+
+    @pytest.mark.parametrize("method", ["brute", "cvmp"])
+    def test_count_past_guard_names_the_ryser_command(self, method, tmp_path, capsys):
+        path = self.write_graph(tmp_path, serialize_graph(BipartiteGraph.complete(10)))
+        assert main(["count", "--method", method, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("n <= 9; use `count --method ryser`\n")
 
     def test_sweep_zero_trials_exits_2(self, capsys):
         assert main(["sweep", "--n", "4", "--trials", "0", "--seed", "1"]) == 2

@@ -78,6 +78,10 @@ class TestRyser:
             bits = bitmasks(a)
             assert kernels.ryser_permanent(bits) == dp_permanent(bits)
 
+    def test_empty_matrix_is_one(self):
+        # the permanent of the 0 x 0 matrix is the empty product
+        assert kernels.ryser_permanent([]) == 1
+
     def test_complete_factorials(self):
         for n in range(1, 9):
             assert kernels.ryser_permanent(bitmasks(np.ones((n, n)))) == math.factorial(n)

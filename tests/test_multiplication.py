@@ -8,7 +8,6 @@ from permmatch import (
     BipartiteGraph,
     Permutation,
     Transposition,
-    build_gamma,
     compose,
     contains_matching,
     enumerate_cvmps,
@@ -54,6 +53,10 @@ class TestFourCycle:
         with pytest.raises(ValueError):
             four_cycle(Permutation.identity(4), Transposition.identity())
 
+    def test_rejects_transposition_past_n(self):
+        with pytest.raises(ValueError, match=r"transposition \(2,4\) does not fit in S_3"):
+            four_cycle(Permutation.identity(3), Transposition(2, 4))
+
     def test_exchange_exhaustive_s5(self):
         for p in all_permutations(5):
             for psi in transpositions(5):
@@ -76,6 +79,11 @@ class TestIsProductRealized:
         assert is_product_realized(g, Permutation.identity(5), Transposition(2, 3))
         pruned = BipartiteGraph.from_edges(5, [e for e in self.FIG_EDGES if e != (3, 2)])
         assert not is_product_realized(pruned, Permutation.identity(5), Transposition(2, 3))
+
+    def test_rejects_size_mismatch(self):
+        g = BipartiteGraph.complete(4)
+        with pytest.raises(ValueError, match="size mismatch: graph n=4, permutation n=5"):
+            is_product_realized(g, Permutation.identity(5), Transposition(1, 2))
 
     def test_rejects_unrealized_base(self):
         g = BipartiteGraph.empty(4)
@@ -131,7 +139,7 @@ class TestLevelNode:
         # a level-i node is the 4-cycle of its suffix product times (i,k)
         checked = 0
         for n in range(1, 6):
-            for path in enumerate_cvmps(build_gamma(n)):
+            for path in enumerate_cvmps(n):
                 suffixes = validate_path(path)
                 for i, x in enumerate(path.nodes, start=1):
                     if x.is_identity:

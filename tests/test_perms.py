@@ -23,6 +23,20 @@ def perm(text, n):
     return parse_cycles(text, n)
 
 
+class TestChecks:
+    def test_empty_permutation(self):
+        with pytest.raises(ValueError, match="permutation needs at least one point"):
+            Permutation([])
+
+    def test_non_bijective_permutation(self):
+        with pytest.raises(ValueError, match="image table is not a bijection of 1..3"):
+            Permutation([1, 1, 3])
+
+    def test_transposition_past_n(self):
+        with pytest.raises(ValueError, match=r"transposition \(1,3\) does not fit in S_2"):
+            Transposition(1, 3).to_perm(2)
+
+
 class TestCompose:
     def test_figure_example(self):
         p = perm("(1,2,4,3,5)", 5)
@@ -58,6 +72,10 @@ class TestCycleText:
     def test_empty_is_identity(self):
         assert parse_cycles("", 4) == Permutation.identity(4)
         assert parse_cycles("()", 4) == Permutation.identity(4)
+
+    def test_rejects_n_below_one(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            parse_cycles("()", 0)
 
     def test_repeated_point(self):
         with pytest.raises(ValueError, match="repeated point"):
@@ -96,6 +114,10 @@ class TestCosetChain:
     def test_single_point(self):
         chain = coset_transversals(1)
         assert chain.levels == ((Transposition.identity(),),)
+
+    def test_rejects_n_below_one(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            coset_transversals(0)
 
     def test_level_sizes(self):
         chain = coset_transversals(5)
@@ -173,6 +195,10 @@ class TestUnsift:
             Transposition.identity(),
         ]
         assert unsift(factors) == perm("(1,2,4,3)", 4)
+
+    def test_rejects_no_factors(self):
+        with pytest.raises(ValueError, match="need at least one factor"):
+            unsift([])
 
     def test_rejects_factor_outside_transversal(self):
         with pytest.raises(ValueError):
