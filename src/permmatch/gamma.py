@@ -8,9 +8,10 @@ lone diagonal node (i,i,i) carrying edge (i,i).
 A complete path picks one node per level.  Validity is the suffix-product
 constraint: with pi_{n+1} = I and pi_i = pi_{i+1} * psi(x_i), every
 transposition node must have t equal to the preimage of k under pi_{i+1}.
-Valid paths are in bijection with S_n; a path's matching is the union of its
-node edges minus the consumed ("surplus") edges, and qualifying a path
-against a concrete graph is a plain set difference (the edge requirement).
+Valid paths are in bijection with S_n, one per product of the chain's
+transversals.  A path's matching is the union of its node edges minus the
+consumed ("surplus") edges, and qualifying a path against a concrete graph
+is a plain set difference (the edge requirement).
 
 Multiplying a realized permutation p by a transposition (i,k) exchanges two
 matched edges along a 4-cycle: with a and t the preimages of i and k under
@@ -23,9 +24,12 @@ edge pair; dashed S edges join node-disjoint pairs at adjacent levels.
 
 from __future__ import annotations
 
+import itertools
+
 from ._record import Record
 from .bipartite import BipartiteGraph, Matching, contains_matching, perm_to_matching
-from .perms import Permutation, Transposition, compose, sift, suffix_products
+from .harness import count_via_cvmp
+from .perms import Permutation, Transposition, coset_transversals, sift, suffix_products
 
 BUILD_MAX_N = 12
 ENUMERATE_MAX_N = 7
@@ -112,8 +116,6 @@ class GammaNode(Record):
     @property
     def node_edges(self) -> frozenset:
         i = self.position
-        if self.is_identity:
-            return frozenset({(i, i)})
         return frozenset({(i, self.k), (self.t, i)})
 
     @property
@@ -180,20 +182,21 @@ def build_gamma(n: int) -> GammaGraph:
             for t in range(i + 1, n + 1):
                 nodes.append(GammaNode(i, k, t))
 
-    r_edges = set()
-    for x in nodes:
-        ce = x.consumed_edge
-        if ce is None:
-            continue
-        for y in nodes:
-            if y.position > x.position and ce in y.node_edges:
-                r_edges.add((x, y))
-
-    # Node (i, k, t) covers rows {i, t} and columns {i, k} of K_{n,n}.
-    s_edges = set()
     by_pos = {}
     for x in nodes:
         by_pos.setdefault(x.position, []).append(x)
+
+    # R by lookup: consumed edge (t, k) is the (t, k) of a level-t node with
+    # that k, or of a level-k node with that t.
+    r_edges = set()
+    for x in nodes:
+        if x.is_identity:
+            continue
+        r_edges.update((x, y) for y in by_pos[x.t] if y.k == x.k)
+        r_edges.update((x, y) for y in by_pos[x.k] if y.t == x.t)
+
+    # Node (i, k, t) covers rows {i, t} and columns {i, k} of K_{n,n}.
+    s_edges = set()
     for i in range(1, n):
         for x in by_pos[i]:
             rows, cols = {i, x.t}, {i, x.k}
@@ -233,9 +236,8 @@ def path_to_perm(path: Cvmp) -> Permutation:
     return validate_path(path)[0]
 
 
-def perm_to_path(q: Permutation) -> Cvmp:
-    """The unique valid path multiplying out to q."""
-    factors = sift(q)
+def _factors_to_path(factors) -> Cvmp:
+    """The valid path of per-level factors [psi_1 .. psi_n], psi_i in U_i."""
     suffixes = suffix_products(factors)
     return Cvmp(
         tuple(
@@ -245,28 +247,21 @@ def perm_to_path(q: Permutation) -> Cvmp:
     )
 
 
-def enumerate_cvmps(n: int):
-    """Yield all n! valid paths, depth-first from level n down to 1.
+def perm_to_path(q: Permutation) -> Cvmp:
+    """The unique valid path multiplying out to q."""
+    return _factors_to_path(sift(q))
 
-    Nodes come from `_level_node`; no generating graph is built.  At each
-    level the identity node comes first, then targets k in increasing order,
-    and t is forced by the suffix product.
+
+def enumerate_cvmps(n: int):
+    """Yield all n! valid paths, one per product of `coset_transversals(n)`.
+
+    Level n varies slowest, each level in transversal order (I, then (i,k)
+    by k); t is forced by the suffix product.  No generating graph is built.
     """
     if not 1 <= n <= ENUMERATE_MAX_N:
         raise ValueError(f"enumeration is guarded at 1 <= n <= {ENUMERATE_MAX_N}")
-
-    def rec(i: int, suffix: Permutation, tail: list):
-        if i == 0:
-            yield Cvmp(tuple(reversed(tail)))
-            return
-        for k in range(i, n + 1):
-            node = _level_node(i, k, suffix)
-            tail.append(node)
-            below = suffix if k == i else compose(suffix, node.psi.to_perm(n))
-            yield from rec(i - 1, below, tail)
-            tail.pop()
-
-    yield from rec(n, Permutation.identity(n), [])
+    for f in itertools.product(*reversed(coset_transversals(n).levels)):
+        yield _factors_to_path(f[::-1])
 
 
 def surplus_edges(path: Cvmp) -> frozenset:
@@ -348,7 +343,7 @@ def unconstrained_walk_count(gamma: GammaGraph) -> int:
 
 def gamma_stats(n: int) -> StructureDiagnostics:
     gamma = build_gamma(n)
-    valid = sum(1 for _ in enumerate_cvmps(n)) if n <= ENUMERATE_MAX_N else None
+    valid = count_via_cvmp(BipartiteGraph.complete(n)) if n <= ENUMERATE_MAX_N else None
     return StructureDiagnostics(
         n=n,
         node_count=len(gamma.nodes),

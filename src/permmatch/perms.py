@@ -2,9 +2,9 @@
 
 Points are 1-based throughout.  Composition acts left-to-right: the image of
 i under p*q is q(p(i)).  Every permutation factors uniquely as
-psi_n * psi_(n-1) * ... * psi_1 with psi_i drawn from the level-i coset
-transversal {I, (i,i+1), ..., (i,n)}; `sift` computes that factorization and
-`unsift` multiplies it back out.
+psi_n * psi_(n-1) * ... * psi_1 with psi_i drawn from U_i = {I, (i,i+1),
+..., (i,n)}, level i of `coset_transversals`; `sift` computes that
+factorization and `unsift` multiplies it back out.
 """
 
 from __future__ import annotations
@@ -119,36 +119,31 @@ def order_from_chain(chain: CosetChain) -> int:
 def sift(p: Permutation) -> list:
     """Factor p into per-level transpositions [psi_1 .. psi_n], psi_i in U_i.
 
-    At level i the residue (which already fixes 1..i-1) either fixes i, giving
-    psi_i = I, or moves i to some m > i, giving psi_i = (i,m); multiplying the
-    residue by psi_i then fixes i as well.
+    At level i the residue already fixes 1..i-1 and moves i to some m >= i;
+    psi_i is entry m - i of the level-i transversal, I when m = i and (i,m)
+    otherwise.  Multiplying the residue by psi_i then fixes i as well.
     """
     factors = []
     residue = p
-    for i in range(1, p.n + 1):
-        m = residue.image(i)
-        if m == i:
-            factors.append(Transposition.identity())
-        else:
-            psi = Transposition(i, m)
-            factors.append(psi)
-            residue = compose(residue, psi.to_perm(p.n))
+    for i, level in enumerate(coset_transversals(p.n).levels, start=1):
+        psi = level[residue.image(i) - i]
+        factors.append(psi)
+        residue = compose(residue, psi.to_perm(p.n))
     return factors
 
 
 def unsift(factors) -> Permutation:
     """Multiply factors back out as psi_n * psi_(n-1) * ... * psi_1.
 
-    factors[i-1] must lie in U_i; the result inverts `sift`.
+    factors[i-1] must lie in U_i, level i of the chain; the result inverts `sift`.
     """
     factors = list(factors)
     n = len(factors)
     if n < 1:
         raise ValueError("need at least one factor")
+    chain = coset_transversals(n)
     for i, psi in enumerate(factors, start=1):
-        if psi.is_identity:
-            continue
-        if psi.i != i or psi.k > n:
+        if psi not in chain.level(i):
             raise ValueError(f"factor {psi} at level {i} is not in U_{i}")
     return suffix_products(factors)[0]
 
@@ -197,7 +192,7 @@ def parse_cycles(text: str, n: int) -> Permutation:
             continue
         while True:
             start = pos
-            while pos < length and text[pos].isdigit():
+            while pos < length and "0" <= text[pos] <= "9":
                 pos += 1
             if pos == start:
                 raise ValueError(f"expected a point at position {start}")

@@ -54,6 +54,19 @@ class TestBuildGamma:
         assert (GammaNode(1, 2, 3), GammaNode(2, 4, 3)) in gm.r_edges
         assert (GammaNode(3, 4, 4), GammaNode(4, 4, 4)) in gm.r_edges
 
+    def test_r_edges_by_definition(self):
+        # R joins a node to every later node whose edge pair holds its consumed edge
+        for n in range(1, 9):
+            gm = build_gamma(n)
+            want = {
+                (x, y)
+                for x in gm.nodes
+                if not x.is_identity
+                for y in gm.nodes
+                if y.position > x.position and x.consumed_edge in y.node_edges
+            }
+            assert gm.r_edges == want
+
     def test_s_edges_by_definition(self):
         # S joins adjacent-level nodes whose edges share no row and no column
         def rows(x):
@@ -160,6 +173,17 @@ class TestEnumeration:
         first = [str(p) for p in enumerate_cvmps(3)]
         second = [str(p) for p in enumerate_cvmps(3)]
         assert first == second
+
+    def test_documented_order(self):
+        # Level n varies slowest; each level runs identity first, then k ascending.
+        assert [str(p) for p in enumerate_cvmps(3)] == [
+            "(11,11)(22,22)(33,33)",
+            "(12,21)(22,22)(33,33)",
+            "(13,31)(22,22)(33,33)",
+            "(11,11)(23,32)(33,33)",
+            "(12,31)(23,32)(33,33)",
+            "(13,21)(23,32)(33,33)",
+        ]
 
     def test_guard(self):
         with pytest.raises(ValueError):

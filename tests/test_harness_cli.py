@@ -339,6 +339,12 @@ class TestCli:
         assert lines[0] == "I*I*I"
         assert lines[1] == "(11,11)(22,22)(33,33)"
 
+    def test_factorize_non_ascii_digit_exits_2(self, capsys):
+        assert main(["factorize", "--n", "3", "(1,\u0663)"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: expected a point at position 3\n"
+
     def test_gen_density_one(self, capsys):
         assert main(["gen", "--n", "3", "--density", "1", "--seed", "0"]) == 0
         assert capsys.readouterr().out == "3\n111\n111\n111\n"

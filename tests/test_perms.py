@@ -90,6 +90,12 @@ class TestCycleText:
         with pytest.raises(ValueError):
             parse_cycles(bad, 5)
 
+    @pytest.mark.parametrize("text", ["(1,\u0663)", "(1,\u00b2)"])
+    def test_rejects_non_ascii_digit(self, text):
+        # str.isdigit accepts the Arabic-Indic three and the superscript two
+        with pytest.raises(ValueError, match="^expected a point at position 3$"):
+            parse_cycles(text, 3)
+
     def test_error_carries_position(self):
         with pytest.raises(ValueError, match="position"):
             parse_cycles("(1,2)x", 4)
@@ -203,3 +209,7 @@ class TestUnsift:
     def test_rejects_factor_outside_transversal(self):
         with pytest.raises(ValueError):
             unsift([Transposition(2, 3), Transposition.identity(), Transposition.identity()])
+
+    def test_rejects_factor_past_n(self):
+        with pytest.raises(ValueError, match=r"factor \(1,4\) at level 1 is not in U_1"):
+            unsift([Transposition(1, 4), Transposition.identity(), Transposition.identity()])
