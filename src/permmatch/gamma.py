@@ -3,7 +3,8 @@
 Nodes encode, for each stabilizer-chain level i, the edge pair produced by
 multiplying the partial product by a level-i transposition (i,k): the pair
 {(i,k), (t,i)} plus the consumed matched edge (t,k).  Identity levels get a
-lone diagonal node (i,i,i) carrying edge (i,i).
+lone diagonal node (i,i,i) carrying edge (i,i): the node of the level's
+identity factor (i,i).
 
 A complete path picks one node per level.  Validity is the suffix-product
 constraint: with pi_{n+1} = I and pi_i = pi_{i+1} * psi(x_i), every
@@ -127,8 +128,6 @@ class GammaNode(Record):
 
     @property
     def psi(self) -> Transposition:
-        if self.is_identity:
-            return Transposition.identity()
         return Transposition(self.position, self.k)
 
     def __str__(self):
@@ -240,10 +239,7 @@ def _factors_to_path(factors) -> Cvmp:
     """The valid path of per-level factors [psi_1 .. psi_n], psi_i in U_i."""
     suffixes = suffix_products(factors)
     return Cvmp(
-        tuple(
-            _level_node(i, i if psi.is_identity else psi.k, suffixes[i])
-            for i, psi in enumerate(factors, start=1)
-        )
+        tuple(_level_node(i, psi.k, suffixes[i]) for i, psi in enumerate(factors, start=1))
     )
 
 

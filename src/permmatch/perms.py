@@ -4,7 +4,8 @@ Points are 1-based throughout.  Composition acts left-to-right: the image of
 i under p*q is q(p(i)).  Every permutation factors uniquely as
 psi_n * psi_(n-1) * ... * psi_1 with psi_i drawn from U_i = {I, (i,i+1),
 ..., (i,n)}, level i of `coset_transversals`; `sift` computes that
-factorization and `unsift` multiplies it back out.
+factorization and `unsift` multiplies it back out.  The level-i factor is
+the transposition (i,k) with k >= i, and its identity I is (i,i).
 """
 
 from __future__ import annotations
@@ -45,27 +46,20 @@ class Permutation(Record):
 
 
 class Transposition(Record):
-    """The swap (i,k) with i < k, or the distinguished identity (i = k = 0)."""
+    """The level-i factor (i,k) with i <= k: the swap of i and k, or the
+    level-i identity I when k = i."""
 
     __slots__ = ("i", "k")
 
     def _validate(self):
-        if (self.i, self.k) == (0, 0):
-            return
-        if not (1 <= self.i < self.k):
-            raise ValueError(f"transposition needs 1 <= i < k, got ({self.i},{self.k})")
-
-    @classmethod
-    def identity(cls) -> "Transposition":
-        return cls(0, 0)
+        if not (1 <= self.i <= self.k):
+            raise ValueError(f"transposition needs 1 <= i <= k, got ({self.i},{self.k})")
 
     @property
     def is_identity(self) -> bool:
-        return self.i == 0
+        return self.i == self.k
 
     def to_perm(self, n: int) -> Permutation:
-        if self.is_identity:
-            return Permutation.identity(n)
         if self.k > n:
             raise ValueError(f"transposition ({self.i},{self.k}) does not fit in S_{n}")
         images = list(range(1, n + 1))
@@ -79,8 +73,9 @@ class Transposition(Record):
 class CosetChain(Record):
     """Transversals U_1..U_n of the point-stabilizer chain of S_n.
 
-    Level i holds {I, (i,i+1), ..., (i,n)}, identity first, so
-    |U_i| = n - i + 1 and the level sizes multiply to n!.
+    Level i holds (i,k) for k = i..n, so {I, (i,i+1), ..., (i,n)} with the
+    identity (i,i) first; |U_i| = n - i + 1 and the level sizes multiply
+    to n!.
     """
 
     __slots__ = (
@@ -103,12 +98,10 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
 def coset_transversals(n: int) -> CosetChain:
     if n < 1:
         raise ValueError("n must be >= 1")
-    levels = []
-    for i in range(1, n + 1):
-        lev = [Transposition.identity()]
-        lev.extend(Transposition(i, k) for k in range(i + 1, n + 1))
-        levels.append(tuple(lev))
-    return CosetChain(n, tuple(levels))
+    levels = tuple(
+        tuple(Transposition(i, k) for k in range(i, n + 1)) for i in range(1, n + 1)
+    )
+    return CosetChain(n, levels)
 
 
 def order_from_chain(chain: CosetChain) -> int:
@@ -120,8 +113,8 @@ def sift(p: Permutation) -> list:
     """Factor p into per-level transpositions [psi_1 .. psi_n], psi_i in U_i.
 
     At level i the residue already fixes 1..i-1 and moves i to some m >= i;
-    psi_i is entry m - i of the level-i transversal, I when m = i and (i,m)
-    otherwise.  Multiplying the residue by psi_i then fixes i as well.
+    psi_i is entry m - i of the level-i transversal, (i,m), which is I when
+    m = i.  Multiplying the residue by psi_i then fixes i as well.
     """
     factors = []
     residue = p
@@ -144,7 +137,7 @@ def unsift(factors) -> Permutation:
     chain = coset_transversals(n)
     for i, psi in enumerate(factors, start=1):
         if psi not in chain.level(i):
-            raise ValueError(f"factor {psi} at level {i} is not in U_{i}")
+            raise ValueError(f"factor ({psi.i},{psi.k}) at level {i} is not in U_{i}")
     return suffix_products(factors)[0]
 
 
@@ -177,7 +170,7 @@ def parse_cycles(text: str, n: int) -> Permutation:
     length = len(text)
 
     def skip_ws(j):
-        while j < length and text[j].isspace():
+        while j < length and text[j] in " \t\n\r\f\v":
             j += 1
         return j
 

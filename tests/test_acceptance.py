@@ -38,8 +38,6 @@ from permmatch import (
 )
 from relabel import all_permutations
 
-I = Transposition.identity()
-
 
 def passed(num, text):
     print(f"criterion {num:2d} [{text}]: PASS")
@@ -47,10 +45,10 @@ def passed(num, text):
 
 def test_criterion_1_transversal_table():
     chain = coset_transversals(4)
-    assert chain.level(1) == (I, Transposition(1, 2), Transposition(1, 3), Transposition(1, 4))
-    assert chain.level(2) == (I, Transposition(2, 3), Transposition(2, 4))
-    assert chain.level(3) == (I, Transposition(3, 4))
-    assert chain.level(4) == (I,)
+    assert chain.level(1) == tuple(Transposition(1, k) for k in (1, 2, 3, 4))
+    assert chain.level(2) == (Transposition(2, 2), Transposition(2, 3), Transposition(2, 4))
+    assert chain.level(3) == (Transposition(3, 3), Transposition(3, 4))
+    assert chain.level(4) == (Transposition(4, 4),)
     assert order_from_chain(chain) == 24
     coset_transversals(4)  # warm
     t0 = time.perf_counter()
@@ -62,11 +60,21 @@ def test_criterion_1_transversal_table():
 def test_criterion_2_factorization_examples():
     p = parse_cycles("(1,3,2,4)", 4)
     factors = sift(p)
-    assert factors == [Transposition(1, 3), Transposition(2, 4), Transposition(3, 4), I]
+    assert factors == [
+        Transposition(1, 3),
+        Transposition(2, 4),
+        Transposition(3, 4),
+        Transposition(4, 4),
+    ]
     assert unsift(factors) == p
     q = parse_cycles("(1,2)", 4)
     factors_q = sift(q)
-    assert factors_q == [Transposition(1, 2), I, I, I]
+    assert factors_q == [
+        Transposition(1, 2),
+        Transposition(2, 2),
+        Transposition(3, 3),
+        Transposition(4, 4),
+    ]
     assert unsift(factors_q) == q
     passed(2, "worked factorization examples")
 

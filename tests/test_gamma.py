@@ -7,6 +7,7 @@ import pytest
 from permmatch import (
     BipartiteGraph,
     Permutation,
+    Transposition,
     build_gamma,
     contains_matching,
     edge_requirement,
@@ -122,6 +123,10 @@ class TestPathPerm:
     def test_perm_to_path_figure(self):
         assert str(figure_path()) == "(12,31)(24,32)(34,43)(44,44)"
 
+    def test_node_factor(self):
+        assert GammaNode(2, 2, 2).psi == Transposition(2, 2)
+        assert GammaNode(2, 4, 3).psi == Transposition(2, 4)
+
     def test_perm_to_path_identity(self):
         assert perm_to_path(Permutation.identity(4)) == identity_path(4)
 
@@ -213,6 +218,7 @@ class TestSurplus:
 
     def test_identity_surplus_empty(self):
         assert surplus_edges(identity_path(4)) == frozenset()
+        assert all(x.consumed_edge is None for x in identity_path(4).nodes)
 
     def test_double_transposition_surplus(self):
         path = perm_to_path(parse_cycles("(1,3)(2,4)", 4))

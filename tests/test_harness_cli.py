@@ -345,6 +345,12 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == "error: expected a point at position 3\n"
 
+    def test_factorize_non_ascii_space_exits_2(self, capsys):
+        assert main(["factorize", "--n", "3", "(1,\u00a03)"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: expected a point at position 3\n"
+
     def test_gen_density_one(self, capsys):
         assert main(["gen", "--n", "3", "--density", "1", "--seed", "0"]) == 0
         assert capsys.readouterr().out == "3\n111\n111\n111\n"

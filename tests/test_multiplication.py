@@ -51,7 +51,7 @@ class TestFourCycle:
 
     def test_rejects_identity_multiplier(self):
         with pytest.raises(ValueError):
-            four_cycle(Permutation.identity(4), Transposition.identity())
+            four_cycle(Permutation.identity(4), Transposition(2, 2))
 
     def test_rejects_transposition_past_n(self):
         with pytest.raises(ValueError, match=r"transposition \(2,4\) does not fit in S_3"):

@@ -35,6 +35,13 @@ class TestChecks:
     def test_transposition_past_n(self):
         with pytest.raises(ValueError, match=r"transposition \(1,3\) does not fit in S_2"):
             Transposition(1, 3).to_perm(2)
+        with pytest.raises(ValueError, match=r"transposition \(3,3\) does not fit in S_2"):
+            Transposition(3, 3).to_perm(2)
+
+    def test_level_identity_is_identity_perm(self):
+        for n in range(1, 6):
+            for i in range(1, n + 1):
+                assert Transposition(i, i).to_perm(n) == Permutation.identity(n)
 
 
 class TestCompose:
@@ -90,6 +97,24 @@ class TestCycleText:
         with pytest.raises(ValueError):
             parse_cycles(bad, 5)
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("(1,\u00a03)", "^expected a point at position 3$"),
+            ("(1,\u20033)", "^expected a point at position 3$"),
+            ("(1,\x1c3)", "^expected a point at position 3$"),
+            ("\u3000(1,3)", "^expected '\\(' at position 0$"),
+        ],
+    )
+    def test_rejects_non_ascii_space(self, text, message):
+        # str.isspace accepts the no-break, em and ideographic spaces and a
+        # file separator
+        with pytest.raises(ValueError, match=message):
+            parse_cycles(text, 3)
+
+    def test_ascii_whitespace_separates(self):
+        assert parse_cycles(" ( 1 ,\t3 )\n(2, 4) ", 4) == parse_cycles("(1,3)(2,4)", 4)
+
     @pytest.mark.parametrize("text", ["(1,\u0663)", "(1,\u00b2)"])
     def test_rejects_non_ascii_digit(self, text):
         # str.isdigit accepts the Arabic-Indic three and the superscript two
@@ -111,15 +136,17 @@ class TestCycleText:
 class TestCosetChain:
     def test_table_for_n4(self):
         chain = coset_transversals(4)
-        I = Transposition.identity()
-        assert chain.level(1) == (I, Transposition(1, 2), Transposition(1, 3), Transposition(1, 4))
-        assert chain.level(2) == (I, Transposition(2, 3), Transposition(2, 4))
-        assert chain.level(3) == (I, Transposition(3, 4))
-        assert chain.level(4) == (I,)
+        assert chain.level(1) == tuple(Transposition(1, k) for k in (1, 2, 3, 4))
+        assert chain.level(2) == (Transposition(2, 2), Transposition(2, 3), Transposition(2, 4))
+        assert chain.level(3) == (Transposition(3, 3), Transposition(3, 4))
+        assert chain.level(4) == (Transposition(4, 4),)
 
     def test_single_point(self):
         chain = coset_transversals(1)
-        assert chain.levels == ((Transposition.identity(),),)
+        assert chain.levels == ((Transposition(1, 1),),)
+
+    def test_level_identity_prints_as_unit(self):
+        assert [str(f) for f in coset_transversals(3).level(2)] == ["I", "(2,3)"]
 
     def test_rejects_n_below_one(self):
         with pytest.raises(ValueError, match="n must be >= 1"):
@@ -144,19 +171,19 @@ class TestSift:
             Transposition(1, 3),
             Transposition(2, 4),
             Transposition(3, 4),
-            Transposition.identity(),
+            Transposition(4, 4),
         ]
 
     def test_single_transposition(self):
         assert sift(perm("(1,2)", 4)) == [
             Transposition(1, 2),
-            Transposition.identity(),
-            Transposition.identity(),
-            Transposition.identity(),
+            Transposition(2, 2),
+            Transposition(3, 3),
+            Transposition(4, 4),
         ]
 
     def test_identity(self):
-        assert sift(Permutation.identity(3)) == [Transposition.identity()] * 3
+        assert sift(Permutation.identity(3)) == [Transposition(i, i) for i in (1, 2, 3)]
 
     def test_exhaustive_roundtrip_and_injectivity(self):
         for n in range(1, 7):
@@ -185,12 +212,13 @@ class TestUnsift:
             Transposition(1, 3),
             Transposition(2, 4),
             Transposition(3, 4),
-            Transposition.identity(),
+            Transposition(4, 4),
         ]
         assert unsift(factors) == perm("(1,3,2,4)", 4)
 
     def test_all_identity(self):
-        assert unsift([Transposition.identity()] * 4) == Permutation.identity(4)
+        factors = [Transposition(i, i) for i in (1, 2, 3, 4)]
+        assert unsift(factors) == Permutation.identity(4)
 
     def test_derived_product(self):
         # psi_4..psi_1 = I, (3,4), (2,4), (1,2)
@@ -198,7 +226,7 @@ class TestUnsift:
             Transposition(1, 2),
             Transposition(2, 4),
             Transposition(3, 4),
-            Transposition.identity(),
+            Transposition(4, 4),
         ]
         assert unsift(factors) == perm("(1,2,4,3)", 4)
 
@@ -208,8 +236,12 @@ class TestUnsift:
 
     def test_rejects_factor_outside_transversal(self):
         with pytest.raises(ValueError):
-            unsift([Transposition(2, 3), Transposition.identity(), Transposition.identity()])
+            unsift([Transposition(2, 3), Transposition(2, 2), Transposition(3, 3)])
 
     def test_rejects_factor_past_n(self):
         with pytest.raises(ValueError, match=r"factor \(1,4\) at level 1 is not in U_1"):
-            unsift([Transposition(1, 4), Transposition.identity(), Transposition.identity()])
+            unsift([Transposition(1, 4), Transposition(2, 2), Transposition(3, 3)])
+
+    def test_rejects_identity_at_wrong_level(self):
+        with pytest.raises(ValueError, match=r"^factor \(1,1\) at level 2 is not in U_2$"):
+            unsift([Transposition(1, 1)] * 3)

@@ -140,6 +140,7 @@ class TestExamples:
 
     def test_unequal_fields_unequal_values(self):
         assert Transposition(1, 2) != Transposition(1, 3)
+        assert Transposition(1, 1) != Transposition(2, 2)
         assert GammaNode(1, 2, 3) != GammaNode(1, 3, 2)
 
     def test_keyword_and_positional_mix(self):
@@ -154,9 +155,11 @@ class TestExamples:
 
 class TestValidation:
     def test_transposition_order(self):
-        with pytest.raises(ValueError, match=r"transposition needs 1 <= i < k, got \(2,1\)"):
+        with pytest.raises(ValueError, match=r"transposition needs 1 <= i <= k, got \(2,1\)"):
             Transposition(2, 1)
-        assert Transposition(0, 0).is_identity
+        assert Transposition(2, 2).is_identity
+        with pytest.raises(ValueError, match=r"transposition needs 1 <= i <= k, got \(0,0\)"):
+            Transposition(0, 0)
 
     def test_gamma_node_position(self):
         with pytest.raises(ValueError, match="position must be >= 1"):
