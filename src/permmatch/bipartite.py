@@ -27,11 +27,9 @@ import math
 from functools import lru_cache
 
 from . import kernels
+from ._guards import guard
 from ._record import Record
-from .kernels import RYSER_MAX_N
 from .perms import Permutation
-
-BRUTEFORCE_MAX_N = 9
 
 
 class BipartiteGraph(Record):
@@ -161,11 +159,7 @@ def count_bruteforce(g: BipartiteGraph) -> int:
     No row is skipped when the AND is already empty, which keeps this count
     independent of the pruned walk.
     """
-    if g.n > BRUTEFORCE_MAX_N:
-        raise ValueError(
-            f"brute force is guarded at n <= {BRUTEFORCE_MAX_N}; "
-            "use `count --method ryser`"
-        )
+    guard("brute force", g.n)
     n = g.n
     alive = -1
     for r, images in zip(g.rows, _bit_table(n)):
@@ -229,6 +223,7 @@ def random_graph(n: int, density: float, seed: int) -> BipartiteGraph:
         raise ValueError("density must lie in [0,1]")
     if seed < 0:
         raise ValueError("seed must be >= 0")
+    guard("gen", n)
     import numpy as np  # only here: every other path runs without numpy
 
     rng = np.random.default_rng(seed)

@@ -2,11 +2,9 @@
 
 Exit status contract: 0 = all counts agree, 1 = counting mismatch found,
 2 = usage or parse error, 141 = stdout was closed before all output was
-written.  `verify` counts by all three methods (cvmp, brute force, Ryser)
-at n <= 9 and refuses n > 9, before counting anything, with exit status 2:
-past n = 9 only Ryser reaches (n <= 24), and one count would compare
-nothing.  Reports go to stdout as JSON with fixed key order; diagnostics go
-to stderr.
+written.  `verify` exits 2 before counting anything when fewer than two
+of its methods are in guard (`_guards.LIMITS`): one count compares nothing.
+Reports go to stdout as JSON with fixed key order; diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -17,6 +15,7 @@ import os
 import sys
 
 from . import bipartite, gamma, harness
+from ._guards import guard
 from .perms import parse_cycles
 
 
@@ -64,6 +63,7 @@ def _cmd_gamma(args) -> int:
 
 
 def _cmd_factorize(args) -> int:
+    guard("factorize", args.n)
     p = parse_cycles(args.cycles, args.n)
     path = gamma.perm_to_path(p)
     print("*".join(str(x.psi) for x in reversed(path.nodes)))
@@ -136,9 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "sweep" and not args.exhaustive:
-        if args.seed is None:
-            parser.error("random sweeps need --seed")
     try:
         return args.func(args)
     except ValueError as exc:

@@ -27,14 +27,11 @@ from __future__ import annotations
 
 import itertools
 
+from ._guards import LIMITS, guard
 from ._record import Record
 from .bipartite import BipartiteGraph, Matching, contains_matching, perm_to_matching
 from .harness import count_via_cvmp
 from .perms import Permutation, Transposition, coset_transversals, sift, suffix_products
-
-BUILD_MAX_N = 12
-ENUMERATE_MAX_N = 7
-DOT_MAX_N = 8
 
 
 class FourCycleWitness(Record):
@@ -172,8 +169,7 @@ class Cvmp(Record):
 
 def build_gamma(n: int) -> GammaGraph:
     """Construct the level graph for K_{n,n}; deterministic node order."""
-    if not 1 <= n <= BUILD_MAX_N:
-        raise ValueError(f"build is guarded at 1 <= n <= {BUILD_MAX_N}")
+    guard("build", n)
     nodes = []
     for i in range(1, n + 1):
         nodes.append(GammaNode(i, i, i))
@@ -254,8 +250,7 @@ def enumerate_cvmps(n: int):
     Level n varies slowest, each level in transversal order (I, then (i,k)
     by k); t is forced by the suffix product.  No generating graph is built.
     """
-    if not 1 <= n <= ENUMERATE_MAX_N:
-        raise ValueError(f"enumeration is guarded at 1 <= n <= {ENUMERATE_MAX_N}")
+    guard("enumeration", n)
     for f in itertools.product(*reversed(coset_transversals(n).levels)):
         yield _factors_to_path(f[::-1])
 
@@ -288,8 +283,7 @@ def edge_requirement(path: Cvmp, g: BipartiteGraph) -> frozenset:
 def export_dot(n: int) -> str:
     """Render the generating graph for n as a DOT digraph: solid R edges,
     dashed S edges.  The guard is checked before the graph is built."""
-    if n > DOT_MAX_N:
-        raise ValueError(f"DOT export is guarded at n <= {DOT_MAX_N}")
+    guard("DOT export", n)
     gamma = build_gamma(n)
     lines = ["digraph generating_graph {", "  rankdir=LR;"]
     for x in gamma.nodes:
@@ -316,7 +310,7 @@ class StructureDiagnostics(Record):
         "node_count",
         "r_edge_count",
         "s_edge_count",
-        "valid_paths",  # None past ENUMERATE_MAX_N
+        "valid_paths",  # None past LIMITS["enumeration"]
         "unconstrained_walks",
     )
 
@@ -339,7 +333,7 @@ def unconstrained_walk_count(gamma: GammaGraph) -> int:
 
 def gamma_stats(n: int) -> StructureDiagnostics:
     gamma = build_gamma(n)
-    valid = count_via_cvmp(BipartiteGraph.complete(n)) if n <= ENUMERATE_MAX_N else None
+    valid = count_via_cvmp(BipartiteGraph.complete(n)) if n <= LIMITS["enumeration"] else None
     return StructureDiagnostics(
         n=n,
         node_count=len(gamma.nodes),

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import time
 
+from ._guards import COUNTERS, LIMITS, guard
 from ._record import Record
 from .bipartite import (
-    BRUTEFORCE_MAX_N,
-    RYSER_MAX_N,
     BipartiteGraph,
     count_bruteforce,
     count_ryser,
@@ -24,9 +23,6 @@ from .bipartite import (
     serialize_graph,
 )
 
-CVMP_MAX_N = BRUTEFORCE_MAX_N
-SWEEP_MAX_N = 7
-EXHAUSTIVE_MAX_N = 4
 SWEEP_DENSITY = 0.5
 
 
@@ -44,10 +40,7 @@ def count_via_cvmp(g: BipartiteGraph) -> int:
     valid path with an empty requirement, so the count is exact, with n!
     leaves in the worst case (K_{n,n}).
     """
-    if g.n > CVMP_MAX_N:
-        raise ValueError(
-            f"path counting is guarded at n <= {CVMP_MAX_N}; use `count --method ryser`"
-        )
+    guard("cvmp", g.n)
     rows = g.rows
     last = g.n - 1
 
@@ -115,15 +108,13 @@ def _instance_counts(g: BipartiteGraph) -> tuple[dict, dict]:
 def verify(g: BipartiteGraph) -> VerificationReport:
     """Count g by all three methods and compare.
 
-    Raises ValueError, before counting anything, when g is past the
-    path-counting and brute-force guard: Ryser alone would compare nothing.
+    Raises ValueError, before counting anything, when fewer than two
+    methods are in guard at g.n: one count would compare nothing.
     """
-    if g.n > CVMP_MAX_N:
-        guards = (
-            f"cvmp n <= {CVMP_MAX_N}, brute force n <= {BRUTEFORCE_MAX_N}, "
-            f"Ryser n <= {RYSER_MAX_N}"
-        )
-        if g.n > RYSER_MAX_N:
+    in_guard = [m for m in COUNTERS if g.n <= LIMITS[m]]
+    if len(in_guard) < 2:
+        guards = ", ".join(f"{m} n <= {LIMITS[m]}" for m in COUNTERS)
+        if not in_guard:
             raise ValueError(f"no counting method is in guard at n={g.n}: {guards}")
         raise ValueError(
             f"only one counting method is in guard at n={g.n} ({guards}) and "
@@ -149,11 +140,9 @@ def sweep(n: int, trials: int | None = None, seed: int | None = None) -> SweepRe
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > SWEEP_MAX_N:
-        raise ValueError(f"sweeps are guarded at n <= {SWEEP_MAX_N}")
+    guard("sweep", n)
     if trials is None:
-        if n > EXHAUSTIVE_MAX_N:
-            raise ValueError(f"exhaustive sweeps are guarded at n <= {EXHAUSTIVE_MAX_N}")
+        guard("exhaustive sweep", n)
         if seed is not None:
             raise ValueError("exhaustive sweeps take no seed")
         graphs = (BipartiteGraph.from_mask(n, m) for m in range(1 << (n * n)))

@@ -4,7 +4,7 @@ column bitmask per row, by Glynn's formula (Glynn 2010),
       perm(A) = 2^-(n-1) * sum over d in {+1,-1}^n with d_1 = +1 of
                 (prod_i d_i) * prod_j (sum_i d_i * a_ij),
 
-in plain Python ints, so the result is exact for every n <= RYSER_MAX_N and
+in Python ints, so the result is exact for every n <= LIMITS["Ryser"] and
 no numpy is imported.  The kernel keeps the name `ryser_permanent` that
 `count_ryser`, `--method ryser` and the benchmark's tracer use; like
 Ryser's formula, Glynn's is an inclusion-exclusion sum.
@@ -34,10 +34,10 @@ from __future__ import annotations
 import itertools
 import math
 
+from ._guards import guard
+
 # Read by the perfbench environment stamp; there is no compiled path.
 NUMBA_AVAILABLE = False
-
-RYSER_MAX_N = 24
 
 _LOW_BITS = 8  # sign rows tabulated per call: 256 entries
 _BIAS = 128  # field value of a zero column sum; |s_j| <= 24 stays in 0..255
@@ -76,12 +76,11 @@ def _zero_masks(start: int, low: list, n: int) -> list:
 
 def ryser_permanent(rows) -> int:
     """Permanent of the n x n 0/1 matrix whose entry (i, j) is bit j of
-    rows[i], as `BipartiteGraph.rows` holds it; exact for n <= RYSER_MAX_N."""
+    rows[i], as `BipartiteGraph.rows` holds it; exact up to its guard."""
     n = len(rows)
-    if n > RYSER_MAX_N:
-        raise ValueError(f"Ryser is guarded at n <= {RYSER_MAX_N}")
     if n == 0:
         return 1
+    guard("Ryser", n)
     # Row i spread into the 8-bit fields: column j's entry at bit 8j.
     fields = [sum(1 << 8 * j for j in range(n) if r >> j & 1) for r in rows]
     top_bits = int.from_bytes(bytes([0x80]) * n, "little")

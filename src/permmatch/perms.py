@@ -11,6 +11,7 @@ the transposition (i,k) with k >= i, and its identity I is (i,i).
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from ._record import Record
 
@@ -95,6 +96,7 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     return Permutation(qi[x - 1] for x in p.images)
 
 
+@lru_cache(maxsize=None)
 def coset_transversals(n: int) -> CosetChain:
     if n < 1:
         raise ValueError("n must be >= 1")

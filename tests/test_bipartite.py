@@ -93,7 +93,8 @@ class TestBruteForce:
         assert count_bruteforce(g) == 1
 
     def test_guard(self):
-        with pytest.raises(ValueError, match="ryser"):
+        msg = "brute force is guarded at 1 <= n <= 9; use `count --method ryser`$"
+        with pytest.raises(ValueError, match=msg):
             count_bruteforce(BipartiteGraph.complete(10))
 
     def test_complete_counts_are_factorials(self):
@@ -151,7 +152,7 @@ class TestRyser:
             assert count_ryser(BipartiteGraph.complete(n)) == math.factorial(n)
 
     def test_guard(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="Ryser is guarded at 1 <= n <= 24$"):
             count_ryser(BipartiteGraph.complete(25))
 
 

@@ -103,7 +103,7 @@ class TestBuildGamma:
         )
 
     def test_guard(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="build is guarded at 1 <= n <= 12$"):
             build_gamma(13)
 
 
@@ -191,7 +191,7 @@ class TestEnumeration:
         ]
 
     def test_guard(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="enumeration is guarded at 1 <= n <= 7$"):
             list(enumerate_cvmps(8))
 
     def test_guard_below_one(self):
@@ -330,5 +330,5 @@ class TestDot:
         assert export_dot(4) == export_dot(4)
 
     def test_guard(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="DOT export is guarded at 1 <= n <= 8$"):
             export_dot(9)

@@ -71,7 +71,8 @@ class TestCountViaCvmp:
             assert count_via_cvmp(g) == count_ryser(g), (n, seed)
 
     def test_guard(self):
-        with pytest.raises(ValueError):
+        msg = "cvmp is guarded at 1 <= n <= 9; use `count --method ryser`$"
+        with pytest.raises(ValueError, match=msg):
             count_via_cvmp(BipartiteGraph.complete(10))
 
     def test_matches_paper_definition(self):
@@ -321,7 +322,7 @@ class TestCli:
         assert main(["gamma", "--n", "12", "--dot"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: DOT export is guarded at n <= 8\n"
+        assert captured.err == "error: DOT export is guarded at 1 <= n <= 8\n"
 
     def test_factorize(self, capsys):
         assert main(["factorize", "--n", "4", "(1,3,2,4)"]) == 0
@@ -413,6 +414,39 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.endswith("n <= 9; use `count --method ryser`\n")
 
+    @pytest.mark.parametrize("method,stage", [("brute", "brute force"), ("cvmp", "cvmp")])
+    def test_count_past_ryser_names_no_other_command(self, method, stage, tmp_path, capsys):
+        # Ryser refuses n = 25 too, so the message points nowhere else
+        path = self.write_graph(tmp_path, serialize_graph(BipartiteGraph.complete(25)))
+        assert main(["count", "--method", method, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {stage} is guarded at 1 <= n <= 9\n"
+
+    @pytest.mark.parametrize("n", ["25", "1000000"])
+    def test_gen_past_guard_exits_2_before_numpy(self, n, monkeypatch, capsys):
+        # numpy is unimportable here, so only a guard ahead of it exits 2
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        assert main(["gen", "--n", n, "--density", "0.5", "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: gen is guarded at 1 <= n <= 24\n"
+        with pytest.raises(ValueError, match="gen is guarded at 1 <= n <= 24$"):
+            random_graph(int(n), 0.5, 1)
+
+    @pytest.mark.parametrize("n", ["10", "1000000000"])
+    def test_factorize_past_guard_exits_2_before_parsing(self, n, monkeypatch, capsys):
+        import permmatch.cli as cli
+
+        def never(text, n):
+            raise AssertionError("parsed a permutation that factorize refuses")
+
+        monkeypatch.setattr(cli, "parse_cycles", never)
+        assert main(["factorize", "--n", n, "()"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: factorize is guarded at 1 <= n <= 9\n"
+
     def test_sweep_zero_trials_exits_2(self, capsys):
         assert main(["sweep", "--n", "4", "--trials", "0", "--seed", "1"]) == 2
         captured = capsys.readouterr()
@@ -425,10 +459,10 @@ class TestCli:
         assert exc.value.code == 2
 
     def test_random_sweep_without_seed_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--n", "3", "--trials", "5"])
-        assert exc.value.code == 2
-        assert "random sweeps need --seed" in capsys.readouterr().err
+        assert main(["sweep", "--n", "3", "--trials", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: random sweeps need a seed\n"
 
     @pytest.mark.parametrize("header", ["1_0", "+2"], ids=["underscore", "plus"])
     def test_verify_non_decimal_header_exits_2(self, header, tmp_path, capsys):

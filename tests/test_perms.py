@@ -152,6 +152,10 @@ class TestCosetChain:
         with pytest.raises(ValueError, match="n must be >= 1"):
             coset_transversals(0)
 
+    def test_table_is_built_once_per_n(self):
+        # sift and unsift read it on every call; a CosetChain is immutable
+        assert coset_transversals(6) is coset_transversals(6)
+
     def test_level_sizes(self):
         chain = coset_transversals(5)
         assert [len(lev) for lev in chain.levels] == [5, 4, 3, 2, 1]
