@@ -2,7 +2,7 @@
 
 LIMITS = {
     "cvmp": 9,  # the pruned walk has n! leaves on K_n
-    "brute force": 9,  # each table entry holds n! bits, 3.7 MB in all at n = 9
+    "brute force": 9,  # time, not memory: n!/8! passes over the S_8 table
     "Ryser": 24,  # 2^(n-1) Glynn terms, 5-6 s at n = 24
     "sweep": 7,  # every instance runs all three counters
     "exhaustive sweep": 4,  # 2^(n*n) graphs

@@ -6,16 +6,20 @@ A graph is an n x n bit-matrix over the two sides V and W, both labeled
 force over all of S_n (small n only) and the permanent kernel.  They share
 no code path, so agreement between them is meaningful evidence.
 
-Brute force tests every one of the n! permutations at once, one bit per
+Brute force tests every one of the n! permutations, one bit per
 permutation.  A cached table holds, for each row v and column c, the int
 whose bit p is set when the p-th permutation (itertools order) maps v to c;
 the permutations with v matched inside v's neighbourhood are the OR of
 that row's entries over its neighbours, and the count is the popcount of
 the AND over rows.  The table of S_n is built from that of S_(n-1) by
-shifting blocks; at n = 9 it is 81 ints of 362,880 bits, about 3.7 MB.
+shifting blocks, and it stops at S_8: 64 ints of 40,320 bits, about
+0.33 MB.  At n = 9 the count runs through S_9's nine cosets of the
+stabilizer of row 1, one per image c of row 1: rows 2..9 are ANDed over
+the S_8 table with its columns read as the eight columns other than c.
 Nothing is pruned: every row's OR is formed and ANDed whatever the rows
-before it left, so brute force stays independent of the pruned walk that
-path counting runs.
+before it left, and every coset's AND is formed before row 1's edge to c
+is tested, so brute force stays independent of the pruned walk that path
+counting runs.
 
 Only `random_graph` uses numpy, for its PCG64 stream, and imports it when
 called; counting, parsing and the permutation machinery never load it.
@@ -121,6 +125,10 @@ def contains_matching(g: BipartiteGraph, m: Matching) -> bool:
     return all(g.has_edge(v, w) for v, w in m.pairs)
 
 
+# The largest cached table; count_bruteforce splits S_9 into cosets of S_8.
+_TABLE_N = 8
+
+
 @lru_cache(maxsize=None)
 def _bit_table(n: int) -> tuple[tuple[int, ...], ...]:
     """Row v, column c: the int whose bit p is set when the p-th permutation
@@ -150,25 +158,46 @@ def _bit_table(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(table)
 
 
-def count_bruteforce(g: BipartiteGraph) -> int:
-    """Count perfect matchings by testing all of S_n; independent ground truth.
-
-    Each of the n! permutations is one bit of the cached table.  Row v's
-    neighbours select, by OR, the permutations that match v along an edge;
-    the AND over all rows leaves those that are perfect matchings of g.
-    No row is skipped when the AND is already empty, which keeps this count
-    independent of the pruned walk.
-    """
-    guard("brute force", g.n)
-    n = g.n
+def _alive(rows, table) -> int:
+    """The permutations of the table, one bit each, that map every row
+    along one of its edges: the AND over rows of the OR of that row's
+    table entries at its neighbours."""
+    n = len(table)
     alive = -1
-    for r, images in zip(g.rows, _bit_table(n)):
+    for r, images in zip(rows, table):
         reach = 0
         for c in range(n):
             if r >> c & 1:
                 reach |= images[c]
         alive &= reach
-    return alive.bit_count()
+    return alive
+
+
+def count_bruteforce(g: BipartiteGraph) -> int:
+    """Count perfect matchings by testing all of S_n; independent ground truth.
+
+    Each of the n! permutations is one bit.  Row v's neighbours select, by
+    OR, the permutations that match v along an edge; the AND over all rows
+    leaves those that are perfect matchings of g.  Up to n = 8 that is one
+    pass over the cached table of S_n.  At n = 9 it is one pass over the
+    table of S_8 per image c of row 1, in itertools order: rows 2..9 with
+    column c taken out, which is block c of the S_9 AND, bit for bit.  No
+    row or block is skipped when the AND is already empty, which keeps
+    this count independent of the pruned walk.
+    """
+    guard("brute force", g.n)
+    n = g.n
+    if n <= _TABLE_N:
+        return _alive(g.rows, _bit_table(n)).bit_count()
+    table = _bit_table(n - 1)
+    head, rest = g.rows[0], g.rows[1:]
+    count = 0
+    for c in range(n):
+        low = (1 << c) - 1
+        block = _alive([(r & low) | (r >> 1 & ~low) for r in rest], table)
+        if head >> c & 1:
+            count += block.bit_count()
+    return count
 
 
 def count_ryser(g: BipartiteGraph) -> int:
@@ -178,21 +207,27 @@ def count_ryser(g: BipartiteGraph) -> int:
 
 
 def parse_graph(text: str) -> BipartiteGraph:
-    """Parse the line-oriented format: decimal n, then n rows of n 0/1 chars."""
-    lines = text.splitlines()
-    if not lines:
+    """Parse the line-oriented format: decimal n, then n rows of n 0/1 chars.
+
+    Lines end in "\n" or "\r\n", and the last one may end in neither.  No
+    other character separates lines or pads the header, so accepted text
+    is what `serialize_graph` writes, up to "\r\n" and the final newline.
+    """
+    if not text:
         raise ValueError("empty input; expected a header line with n")
-    header = lines[0].strip()
+    text = text.replace("\r\n", "\n")
+    lines = (text[:-1] if text.endswith("\n") else text).split("\n")
+    header = lines[0]
     if not (header.isascii() and header.isdigit()):
-        raise ValueError(f"bad header line {lines[0]!r}; expected decimal n")
+        raise ValueError(f"bad header line {header!r}; expected decimal n")
     n = int(header)
     if n < 1:
         raise ValueError(f"bad header n={n}; must be >= 1")
     body = lines[1:]
-    if len(body) != n:
-        raise ValueError(f"expected {n} rows after the header, got {len(body)}")
     rows = []
-    for v, line in enumerate(body, start=1):
+    # rows before the count, so that a row holding a stray separator is
+    # named by its number
+    for v, line in enumerate(body[:n], start=1):
         if len(line) != n:
             raise ValueError(f"row {v} has {len(line)} characters, expected {n}")
         bad = set(line) - {"0", "1"}
@@ -203,6 +238,8 @@ def parse_graph(text: str) -> BipartiteGraph:
             if ch == "1":
                 bits |= 1 << w
         rows.append(bits)
+    if len(body) != n:
+        raise ValueError(f"expected {n} rows after the header, got {len(body)}")
     return BipartiteGraph(n, rows)
 
 

@@ -21,7 +21,9 @@ from .perms import parse_cycles
 
 def _read_graph(path: str) -> bipartite.BipartiteGraph:
     try:
-        with open(path, "r", encoding="ascii") as fh:
+        # newline="": parse_graph, not universal newlines, decides what
+        # ends a line, so a lone "\r" is refused as it is in process
+        with open(path, "r", encoding="ascii", newline="") as fh:
             text = fh.read()
     except OSError as exc:
         raise ValueError(f"{path}: {exc.strerror}") from exc

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,8 +24,11 @@ from permmatch import (
     serialize_graph,
 )
 from permmatch.bipartite import _bit_table
-from relabel import all_permutations, assert_relabel_invariant, square_01
+from relabel import all_permutations, assert_relabel_invariant, shuffled, square_01
 
+# the canonical line ends and ten other ASCII and Unicode separators
+SEPARATORS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+              "\u2028", "\u2029", " "]
 SIX_CYCLE = BipartiteGraph.from_matrix([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
 
 
@@ -114,13 +119,38 @@ class TestBruteForce:
         g = BipartiteGraph(9, (0,) + g.rows[1:])
         assert count_bruteforce(g) == count_ryser(g) == 0
 
-    def test_first_row_in_one_head_block_n9(self):
-        # row 1 only reaches column 4, so eight of the nine blocks count 0
+    @pytest.mark.parametrize("c", range(9))
+    def test_first_row_in_one_head_block_n9(self, c):
+        # row 1 only reaches column c + 1, so eight of the nine blocks count 0
         g = random_graph(9, 0.7, 6)
-        g = BipartiteGraph(9, (1 << 3,) + g.rows[1:])
+        g = BipartiteGraph(9, (1 << c,) + g.rows[1:])
         expected = count_ryser(g)
         assert expected > 0
         assert count_bruteforce(g) == expected
+
+    @pytest.mark.parametrize(
+        "missing, expected",
+        [((), 362880), ((0,), 133496), ((0, 1), 43387)],
+        ids=["J", "J-I", "J-I-P"],
+    )
+    def test_closed_forms_n9_shuffled(self, missing, expected):
+        # 9!, derangements and menage numbers, rows and columns shuffled so
+        # that row 1's edges fall in different blocks
+        for seed in range(4):
+            g = BipartiteGraph.from_matrix(shuffled(9, missing, seed))
+            assert count_bruteforce(g) == expected, seed
+
+    def test_n9_peak_memory_below_1mb(self):
+        # the S_8 table and one block at a time: about 0.38 MB; the whole
+        # table of S_9 would be 3.7 MB
+        _bit_table.cache_clear()
+        tracemalloc.start()
+        try:
+            assert count_bruteforce(BipartiteGraph.complete(9)) == 362880
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
 
     @settings(max_examples=50, deadline=None)
     @given(square_01, st.randoms(use_true_random=False))
@@ -216,6 +246,15 @@ class TestGraphFormat:
             ("2\n11", "rows"),
             ("2\n111\n11", "characters"),
             ("2\n1a\n11", "outside 0/1"),
+            # only "\n" and "\r\n" end a line
+            ("2\v11\f01\n", "bad header line"),
+            ("2\x1c11\n01\n", "bad header line"),
+            ("2\r11\r01\r", "bad header line"),
+            ("2\n11\x8501\n", "row 1 "),
+            ("2\n11\u202801\n", "row 1 "),
+            ("2\n11\r01\n", "row 1 "),
+            ("2\n11\n01\r", "row 2 "),
+            ("2\n11\n01\x1d", "row 2 "),
         ],
     )
     def test_rejects(self, bad, msg):
@@ -223,13 +262,44 @@ class TestGraphFormat:
             parse_graph(bad)
 
     @pytest.mark.parametrize(
-        "header", ["1_0", "+2", "\u0662"], ids=["underscore", "plus", "arabic-indic"]
+        "header",
+        ["1_0", "+2", "\u0662", " 2 ", "\x1f2\x1f", "2\t"],
+        ids=["underscore", "plus", "arabic-indic", "spaces", "unit-separator", "tab"],
     )
     def test_header_must_be_ascii_digits(self, header):
         # int() reads each of these, and the body fits the n it reads
-        n = int(header)
+        n = int(header.strip())
         with pytest.raises(ValueError, match="bad header line"):
             parse_graph(header + "\n" + ("1" * n + "\n") * n)
+
+    def test_crlf_line_ends(self):
+        expected = parse_graph("2\n11\n01\n")
+        assert parse_graph("2\r\n11\r\n01\r\n") == expected
+        assert parse_graph("2\r\n11\n01") == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda n: st.tuples(
+                st.sampled_from(["", " ", "\x1f", "\t"]),
+                st.just(str(n)),
+                st.lists(st.text("01", min_size=n, max_size=n), min_size=n, max_size=n),
+                st.lists(st.sampled_from(SEPARATORS), min_size=n, max_size=n),
+                st.sampled_from(SEPARATORS + [""]),
+            )
+        )
+    )
+    def test_accepted_text_is_canonical(self, parts):
+        pad, header, body, seps, end = parts
+        lines = [pad + header] + body
+        text = "".join(line + sep for line, sep in zip(lines, seps + [end]))
+        try:
+            g = parse_graph(text)
+        except ValueError as exc:
+            assert re.match("bad header line |row [0-9]+ ", str(exc)), (text, exc)
+            return
+        canonical = text.replace("\r\n", "\n")
+        assert serialize_graph(g) == canonical + ("" if canonical.endswith("\n") else "\n")
 
 
 class TestRandomGraph:

@@ -272,6 +272,26 @@ class TestCli:
         assert captured.err.startswith(f"error: {f}: ")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "raw", [b"2\v11\f01\n", b"2\r11\r01\r", b"\x1f2\x1f\n11\n01\n"],
+        ids=["vt-ff", "lone-cr", "unit-separator"],
+    )
+    def test_verify_other_separators_exit_2(self, tmp_path, capsys, raw):
+        f = tmp_path / "g.txt"
+        f.write_bytes(raw)
+        assert main(["verify", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {f}: bad header line ")
+
+    def test_verify_crlf_file(self, tmp_path, capsys):
+        f = tmp_path / "g.txt"
+        f.write_bytes(b"2\r\n11\r\n01\r\n")
+        assert main(["verify", str(f)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["count_ryser"] == 1
+        assert report["graph"] == "2\n11\n01\n"
+
     def test_count_methods_agree(self, tmp_path, capsys):
         path = self.write_graph(
             tmp_path, serialize_graph(random_graph(5, 0.6, 77))
