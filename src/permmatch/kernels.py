@@ -4,10 +4,10 @@ column bitmask per row, by Glynn's formula (Glynn 2010),
       perm(A) = 2^-(n-1) * sum over d in {+1,-1}^n with d_1 = +1 of
                 (prod_i d_i) * prod_j (sum_i d_i * a_ij),
 
-in Python ints, so the result is exact for every n <= LIMITS["Ryser"] and
-no numpy is imported.  The kernel keeps the name `ryser_permanent` that
-`count_ryser`, `--method ryser` and the benchmark's tracer use; like
-Ryser's formula, Glynn's is an inclusion-exclusion sum.
+in Python ints, so the result is exact for every n <= LIMITS["Ryser"].  The
+kernel keeps the name `ryser_permanent` that `count_ryser`, `--method
+ryser` and the benchmark's tracer use; like Ryser's formula, Glynn's is an
+inclusion-exclusion sum.
 
 The n signed column sums s_j = sum_i d_i * a_ij lie in [-n, n], so they are
 held biased by 128 in the 8-bit fields of one int; flipping d_i adds or

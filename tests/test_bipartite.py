@@ -1,11 +1,11 @@
 """Graphs, matchings, the bijection with permutations, and the oracles."""
 
+import hashlib
 import itertools
 import math
 import re
 import tracemalloc
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,9 +23,12 @@ from permmatch import (
     random_graph,
     serialize_graph,
 )
-from permmatch.bipartite import _bit_table
+from permmatch.bipartite import _bit_table, _uniform_stream
 from relabel import all_permutations, assert_relabel_invariant, shuffled, square_01
 
+# seeds around the 32-bit word boundaries that the seeding splits a seed at,
+# and past the four words of its pool
+STREAM_SEEDS = [*range(300), 2**32 - 1, 2**32, 2**64, 2**128 + 7, 10**40]
 # the canonical line ends and ten other ASCII and Unicode separators
 SEPARATORS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
               "\u2028", "\u2029", " "]
@@ -198,7 +201,10 @@ class TestGraphRejects:
             (lambda: BipartiteGraph.from_matrix([[2]]), "entries must be 0/1"),
             (lambda: BipartiteGraph.from_matrix([[1, -1], [0, 1]]), "entries must be 0/1"),
             (lambda: BipartiteGraph.from_matrix([[0.5, 1], [1, 1]]), "entries must be 0/1"),
-            (lambda: BipartiteGraph.from_matrix(np.array([[1, 1]])), "square"),
+            (
+                lambda: BipartiteGraph.from_matrix(pytest.importorskip("numpy").array([[1, 1]])),
+                "square",
+            ),
             (lambda: BipartiteGraph.from_edges(2, [(1, 3)]), r"edge \(1,3\) out of range"),
             (lambda: BipartiteGraph.from_edges(2, [(0, 1)]), r"edge \(0,1\) out of range"),
             (lambda: parse_graph("0\n"), "bad header n=0; must be >= 1"),
@@ -306,6 +312,35 @@ class TestRandomGraph:
     def test_density_extremes(self):
         assert random_graph(4, 1.0, 0) == BipartiteGraph.complete(4)
         assert random_graph(4, 0.0, 0) == BipartiteGraph.empty(4)
+
+    @pytest.mark.parametrize(
+        "n,density,seed,digest",
+        [
+            (12, 0.37, 123, "f20f598acb561885590fd6f4f79c11cf27efa6cf233e1efef9d06721cff20822"),
+            (24, 0.5, 1, "2cf9b7ff7ff7bb7a29c2d2865df9d4e1db6c2108fa7f41331254d28c6534d575"),
+            (6, 0.5, 7, "be5219939b31cb8dbb6d01c1674fd9b11206386a649f96010f8712e4084bc4bf"),
+            (9, 0.5, 7, "b9f62fac7d5a3236869167157398d2206065c490aa97193304d815524bed588e"),
+        ],
+    )
+    def test_pinned_bytes(self, n, density, seed, digest):
+        # the sha256 of these graphs when numpy's default_rng drew them
+        text = serialize_graph(random_graph(n, density, seed))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_stream_matches_default_rng(self):
+        np = pytest.importorskip("numpy")
+        for seed in STREAM_SEEDS:
+            expected = np.random.default_rng(seed).random(200).tolist()
+            assert list(itertools.islice(_uniform_stream(seed), 200)) == expected, seed
+
+    def test_graphs_match_default_rng(self):
+        np = pytest.importorskip("numpy")
+        for n in range(1, 25):
+            for density in (0.0, 0.1, 0.37, 0.5, 0.9, 1.0):
+                for seed in (0, 7, 123, 2**64):
+                    drawn = np.random.default_rng(seed).random((n, n)) < density
+                    expected = BipartiteGraph.from_matrix(drawn.astype(int).tolist())
+                    assert random_graph(n, density, seed) == expected, (n, density, seed)
 
     def test_seed_reproducible(self):
         a = serialize_graph(random_graph(6, 0.37, 123))

@@ -1,11 +1,14 @@
 """Harness counting, sweeps, reports, and the command-line surface."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -444,9 +447,15 @@ class TestCli:
         assert captured.err == f"error: {stage} is guarded at 1 <= n <= 9\n"
 
     @pytest.mark.parametrize("n", ["25", "1000000"])
-    def test_gen_past_guard_exits_2_before_numpy(self, n, monkeypatch, capsys):
-        # numpy is unimportable here, so only a guard ahead of it exits 2
-        monkeypatch.setitem(sys.modules, "numpy", None)
+    def test_gen_past_guard_exits_2_before_the_stream(self, n, monkeypatch, capsys):
+        # the stream fails if it is started, so only a guard ahead of it
+        # exits 2 with the guard's message
+        import permmatch.bipartite as bipartite
+
+        def never(seed):
+            raise AssertionError("drew a graph that gen refuses")
+
+        monkeypatch.setattr(bipartite, "_uniform_stream", never)
         assert main(["gen", "--n", n, "--density", "0.5", "--seed", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -522,17 +531,21 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == "error: n must be >= 1\n"
 
-    def test_counting_commands_never_import_numpy(self, tmp_path):
-        # numpy is only for gen and random sweeps, and no command needs
-        # dataclasses or the inspect module it pulls in; a fresh interpreter
-        # shows what the counting commands load, which this test process cannot
+    def test_no_command_imports_numpy(self, tmp_path):
+        # random graphs come from the package's own PCG64 stream, so no
+        # command, gen and random sweeps included, imports numpy, and none
+        # needs dataclasses or the inspect module it pulls in; a fresh
+        # interpreter shows what the commands load, which this test process
+        # cannot
         path = self.write_graph(tmp_path, "4\n1101\n0111\n1011\n1110\n")
         script = "\n".join([
             "import contextlib, io, sys",
             "from permmatch.cli import main",
             f"path = {path!r}",
             "runs = [['verify', path], ['gamma', '--n', '4', '--stats'],",
-            "        ['factorize', '--n', '4', '(1,2,4,3)']]",
+            "        ['factorize', '--n', '4', '(1,2,4,3)'],",
+            "        ['gen', '--n', '6', '--density', '0.5', '--seed', '7'],",
+            "        ['sweep', '--n', '4', '--trials', '3', '--seed', '1']]",
             "runs += [['count', '--method', m, path] for m in ('cvmp', 'brute', 'ryser')]",
             "for argv in runs:",
             "    with contextlib.redirect_stdout(io.StringIO()):",
@@ -653,3 +666,83 @@ class TestCli:
         assert main(["sweep", "--n", "2", "--exhaustive"]) == 1
         report = json.loads(capsys.readouterr().out)
         assert report["agreement"] is False and len(report["mismatches"]) == 8
+
+
+# Where a path to a graph file goes in a drawn argv.
+FILE = object()
+# Values of --n that are not decimal ints, and "٣", which int() reads as 3.
+BAD_N = ["x", "", "1.5", "\u0663"]
+
+
+def n_values(runs, refused):
+    """--n for one stage: values up to `runs`, each cheap at that stage,
+    values past the stage's limit, which its guard refuses before any work,
+    and values that are not ints."""
+    return st.sampled_from(
+        [str(n) for n in range(-2, runs + 1)] + [refused, "1000000000", str(10**20)] + BAD_N
+    )
+
+
+@st.composite
+def cli_calls(draw):
+    """An argv from the CLI grammar and the bytes of the file it names, or
+    None for a missing file.  Every drawn run is small: n <= 6, trials <= 3,
+    exhaustive sweeps at n <= 3, graph files of n <= 6."""
+    seed = st.integers(-2, 2**70).map(str)
+    argv = list(draw(st.one_of(
+        st.just(["verify", FILE]),
+        st.sampled_from(["cvmp", "ryser", "brute", "exact"]).map(
+            lambda m: ["count", "--method", m, FILE]),
+        st.tuples(n_values(3, "5"), st.lists(seed, max_size=1)).map(
+            lambda a: ["sweep", "--n", a[0], "--exhaustive"] + ["--seed", *a[1]] * bool(a[1])),
+        st.tuples(n_values(6, "8"), st.integers(-1, 3).map(str), st.lists(seed, max_size=1)).map(
+            lambda a: ["sweep", "--n", a[0], "--trials", a[1]] + ["--seed", *a[2]] * bool(a[2])),
+        n_values(8, "9").map(lambda n: ["gamma", "--n", n, "--dot"]),
+        n_values(6, "13").map(lambda n: ["gamma", "--n", n, "--stats"]),
+        st.tuples(n_values(6, "10"), st.text("0123456789(), \t\u00a0\u0663", max_size=20)).map(
+            lambda a: ["factorize", "--n", *a]),
+        st.tuples(
+            n_values(6, "25"),
+            st.sampled_from(["0", "0.5", "1", "1.5", "-0.1", "nan", "inf", "x"]),
+            seed,
+        ).map(lambda a: ["gen", "--n", a[0], "--density", a[1], "--seed", a[2]]),
+    )))
+    # one token left out: a missing value, flag or command, never a larger run
+    if draw(st.sampled_from([False, False, True])):
+        del argv[draw(st.sampled_from(range(len(argv))))]
+    graph = st.integers(1, 6).flatmap(lambda n: st.lists(
+        st.integers(0, (1 << n) - 1), min_size=n, max_size=n,
+    ).map(lambda rows: serialize_graph(BipartiteGraph(n, rows)).encode()))
+    data = draw(st.one_of(
+        graph,
+        st.text("012\n\r \v", max_size=30).map(str.encode),
+        st.binary(max_size=20),
+        st.none(),
+    ))
+    return argv, data
+
+
+class TestCliGrammar:
+    @settings(max_examples=200, deadline=None)
+    @given(cli_calls())
+    def test_exit_status_and_no_traceback(self, call):
+        argv, data = call
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "g.txt")
+            if data is not None:
+                with open(path, "wb") as fh:
+                    fh.write(data)
+            argv = [path if a is FILE else a for a in argv]
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    status = main(argv)
+                except SystemExit as exc:
+                    # argparse's usage error
+                    assert exc.code == 2, argv
+                    status = None
+        assert "Traceback" not in err.getvalue()
+        assert status in (None, 0, 1, 2), argv
+        if status == 2:
+            assert out.getvalue() == "", argv
+            assert err.getvalue().startswith("error: "), argv

@@ -1,6 +1,7 @@
 """Permutation arithmetic, cycle notation, and the stabilizer chain."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,29 @@ from relabel import all_permutations, fixes, format_cycles
 
 def perm(text, n):
     return parse_cycles(text, n)
+
+
+ASCII_BLANKS = " \t\n\r\f\v"
+# the no-break, em and ideographic spaces, a file separator, NEL and the
+# line separator: str.isspace accepts them, the cycle parser must not
+OTHER_BLANKS = "\u00a0\u2003\u3000\x1c\x85\u2028"
+
+
+@st.composite
+def cycle_texts(draw, n):
+    """Text near the cycle grammar: cycles of points in 0..n+1 with blanks
+    around every token, or any string over the grammar's characters."""
+    ascii_blank = st.text(ASCII_BLANKS, max_size=2)
+    blank = st.one_of(ascii_blank, ascii_blank, st.sampled_from(OTHER_BLANKS))
+    tokens = []
+    for points in draw(st.lists(st.lists(st.integers(0, n + 1), max_size=4), max_size=4)):
+        tokens.append("(")
+        for i, point in enumerate(points):
+            tokens += [",", str(point)] if i else [str(point)]
+        tokens.append(")")
+    structured = "".join(draw(blank) + t for t in tokens) + draw(blank)
+    chars = "0123456789()," + ASCII_BLANKS + OTHER_BLANKS
+    return draw(st.sampled_from([structured, draw(st.text(chars, max_size=30))]))
 
 
 class TestChecks:
@@ -127,6 +151,32 @@ class TestCycleText:
 
     def test_identity_formats_as_unit(self):
         assert format_cycles(Permutation.identity(3)) == "()"
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_accepted_text_is_its_cycles_and_rejections_name_a_position(self, data):
+        n = data.draw(st.integers(1, 7))
+        text = data.draw(cycle_texts(n))
+        try:
+            p = parse_cycles(text, n)
+        except ValueError as exc:
+            where = re.fullmatch(r".* at position (\d+)", str(exc))
+            assert where and int(where[1]) <= len(text), str(exc)
+            return
+        # accepted: with ASCII blanks removed, the text is cycle notation, and
+        # its cycles, applied one by one, give p
+        bare = re.sub(f"[{ASCII_BLANKS}]", "", text)
+        assert re.fullmatch(r"(\((\d+(,\d+)*)?\))*", bare), text
+        cycles = [[int(x) for x in body.split(",")] if body else []
+                  for body in re.findall(r"\(([\d,]*)\)", bare)]
+        points = [x for cycle in cycles for x in cycle]
+        assert len(set(points)) == len(points) and set(points) <= set(range(1, n + 1)), text
+        images = list(range(1, n + 1))
+        for cycle in cycles:
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                images[a - 1] = b
+        assert p == Permutation(images)
+        assert parse_cycles(format_cycles(p), n) == p
 
     def test_roundtrip_all_of_s5(self):
         for p in all_permutations(5):
