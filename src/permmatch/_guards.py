@@ -1,4 +1,5 @@
-"""Every n limit of the workbench, and the one refusal that enforces them."""
+"""Every n limit of the workbench, the one refusal that enforces them, and
+the longest number the text parsers read."""
 
 LIMITS = {
     "cvmp": 9,  # the pruned walk has n! leaves on K_n
@@ -13,6 +14,9 @@ LIMITS = {
     "factorize": 9,  # past 9 a node label such as (1010,1010) is ambiguous
 }
 COUNTERS = ("cvmp", "brute force", "Ryser")
+# int() refuses longer decimal strings by default, in a message that names
+# no header or position, so the parsers refuse them first
+DIGITS_MAX = 4300
 
 
 def guard(stage: str, n: int) -> None:

@@ -33,7 +33,7 @@ import math
 from functools import lru_cache
 
 from . import kernels
-from ._guards import guard
+from ._guards import DIGITS_MAX, guard
 from ._record import Record
 from .perms import Permutation
 
@@ -222,6 +222,8 @@ def parse_graph(text: str) -> BipartiteGraph:
     header = lines[0]
     if not (header.isascii() and header.isdigit()):
         raise ValueError(f"bad header line {header!r}; expected decimal n")
+    if len(header) > DIGITS_MAX:
+        raise ValueError(f"bad header line of {len(header)} digits; n has at most {DIGITS_MAX}")
     n = int(header)
     if n < 1:
         raise ValueError(f"bad header n={n}; must be >= 1")

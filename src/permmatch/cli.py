@@ -46,21 +46,21 @@ def _print_json(obj) -> None:
 def _cmd_verify(args) -> int:
     g = _read_graph(args.file)
     report = harness.verify(g)
-    _print_json(report.to_dict())
-    return 0 if report.agreement else 1
+    _print_json(report)
+    return 0 if report["agreement"] else 1
 
 
 def _cmd_sweep(args) -> int:
     report = harness.sweep(args.n, trials=args.trials, seed=args.seed)
-    _print_json(report.to_dict())
-    return 0 if report.agreement else 1
+    _print_json(report)
+    return 0 if report["agreement"] else 1
 
 
 def _cmd_gamma(args) -> int:
     if args.dot:
         print(gamma.export_dot(args.n), end="")
     else:
-        _print_json(gamma.gamma_stats(args.n).to_dict())
+        _print_json(gamma.gamma_stats(args.n))
     return 0
 
 

@@ -297,24 +297,6 @@ def export_dot(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-class StructureDiagnostics(Record):
-    """Shape numbers for the generating graph at a given n.
-
-    unconstrained_walks counts level-1-to-n walks that only follow R/S edges
-    between consecutive levels, ignoring the suffix-product constraint; it is
-    reported alongside the valid-path count, never asserted equal to it.
-    """
-
-    __slots__ = (
-        "n",
-        "node_count",
-        "r_edge_count",
-        "s_edge_count",
-        "valid_paths",  # None past LIMITS["enumeration"]
-        "unconstrained_walks",
-    )
-
-
 def unconstrained_walk_count(gamma: GammaGraph) -> int:
     """Dynamic program over adjacent-level R/S edges, one node per level."""
     step = {}
@@ -331,14 +313,22 @@ def unconstrained_walk_count(gamma: GammaGraph) -> int:
     return sum(ways.values())
 
 
-def gamma_stats(n: int) -> StructureDiagnostics:
+def gamma_stats(n: int) -> dict:
+    """Shape numbers for the generating graph at n, as `permmatch gamma
+    --stats` prints them: n, node_count, r_edge_count, s_edge_count,
+    valid_paths (None past LIMITS["enumeration"]) and unconstrained_walks.
+
+    unconstrained_walks counts level-1-to-n walks that only follow R/S edges
+    between consecutive levels, ignoring the suffix-product constraint; it is
+    reported alongside the valid-path count, never asserted equal to it.
+    """
     gamma = build_gamma(n)
     valid = count_via_cvmp(BipartiteGraph.complete(n)) if n <= LIMITS["enumeration"] else None
-    return StructureDiagnostics(
-        n=n,
-        node_count=len(gamma.nodes),
-        r_edge_count=len(gamma.r_edges),
-        s_edge_count=len(gamma.s_edges),
-        valid_paths=valid,
-        unconstrained_walks=unconstrained_walk_count(gamma),
-    )
+    return {
+        "n": n,
+        "node_count": len(gamma.nodes),
+        "r_edge_count": len(gamma.r_edges),
+        "s_edge_count": len(gamma.s_edges),
+        "valid_paths": valid,
+        "unconstrained_walks": unconstrained_walk_count(gamma),
+    }

@@ -14,7 +14,6 @@ from __future__ import annotations
 import time
 
 from ._guards import COUNTERS, LIMITS, guard
-from ._record import Record
 from .bipartite import (
     BipartiteGraph,
     count_bruteforce,
@@ -58,37 +57,6 @@ def count_via_cvmp(g: BipartiteGraph) -> int:
     return walk(0, (1 << g.n) - 1)
 
 
-class VerificationReport(Record):
-    """Counts of one graph by all three methods, and whether they agree."""
-
-    __slots__ = (
-        "n",
-        "graph",
-        "count_cvmp",
-        "count_bruteforce",
-        "count_ryser",
-        "agreement",
-        "elapsed",  # seconds per method
-    )
-
-
-class SweepReport(Record):
-    """Outcome of a sweep; trials and seed are None, and omitted, when exhaustive."""
-
-    __slots__ = (
-        "n",
-        "mode",  # "exhaustive" or "random"
-        "trials",
-        "seed",
-        "instances",
-        "agreement",
-        "mismatches",  # one dict per disagreeing graph, sorted by graph text
-    )
-
-    def to_dict(self) -> dict:
-        return {k: v for k, v in super().to_dict().items() if v is not None}
-
-
 def _instance_counts(g: BipartiteGraph) -> tuple[dict, dict]:
     # Built per call, so a counter rebound on this module is the one timed.
     counters = (
@@ -105,8 +73,12 @@ def _instance_counts(g: BipartiteGraph) -> tuple[dict, dict]:
     return counts, elapsed
 
 
-def verify(g: BipartiteGraph) -> VerificationReport:
+def verify(g: BipartiteGraph) -> dict:
     """Count g by all three methods and compare.
+
+    Returns the report `permmatch verify` prints, keys in printed order:
+    n, graph, count_cvmp, count_bruteforce, count_ryser, agreement and
+    elapsed (seconds per method).
 
     Raises ValueError, before counting anything, when fewer than two
     methods are in guard at g.n: one count would compare nothing.
@@ -121,22 +93,27 @@ def verify(g: BipartiteGraph) -> VerificationReport:
             f"verify needs two to compare; use `count --method ryser` for the count"
         )
     counts, elapsed = _instance_counts(g)
-    return VerificationReport(
-        n=g.n,
-        graph=serialize_graph(g),
+    return {
+        "n": g.n,
+        "graph": serialize_graph(g),
         **counts,
-        agreement=len(set(counts.values())) == 1,
-        elapsed=elapsed,
-    )
+        "agreement": len(set(counts.values())) == 1,
+        "elapsed": elapsed,
+    }
 
 
-def sweep(n: int, trials: int | None = None, seed: int | None = None) -> SweepReport:
+def sweep(n: int, trials: int | None = None, seed: int | None = None) -> dict:
     """Cross-check the counting methods over many instances.
 
     With trials None the sweep is exhaustive, over all 2^(n*n) graphs
     (n <= 4), and takes no seed; otherwise it draws `trials` seeded
     half-density instances.  Mismatching instances are embedded verbatim so
     a failure is always reproducible.
+
+    Returns the report `permmatch sweep` prints, keys in printed order: n,
+    mode ("exhaustive" or "random"), trials and seed (random sweeps only),
+    instances, agreement, and mismatches (one dict per disagreeing graph,
+    sorted by graph text).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -164,13 +141,9 @@ def sweep(n: int, trials: int | None = None, seed: int | None = None) -> SweepRe
             entry.update(counts)
             mismatches.append(entry)
     mismatches.sort(key=lambda e: e["graph"])
-    return SweepReport(
-        n=n,
-        mode="exhaustive" if trials is None else "random",
-        trials=trials,
-        seed=seed,
-        instances=instances,
-        agreement=not mismatches,
-        mismatches=mismatches,
-    )
+    if trials is None:
+        report = {"n": n, "mode": "exhaustive"}
+    else:
+        report = {"n": n, "mode": "random", "trials": trials, "seed": seed}
+    return report | {"instances": instances, "agreement": not mismatches, "mismatches": mismatches}
 

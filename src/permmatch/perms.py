@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+from ._guards import DIGITS_MAX
 from ._record import Record
 
 
@@ -191,6 +192,10 @@ def parse_cycles(text: str, n: int) -> Permutation:
                 pos += 1
             if pos == start:
                 raise ValueError(f"expected a point at position {start}")
+            if pos - start > DIGITS_MAX:
+                raise ValueError(
+                    f"point of {pos - start} digits, more than {DIGITS_MAX}, at position {start}"
+                )
             point = int(text[start:pos])
             if not (1 <= point <= n):
                 raise ValueError(f"point {point} out of range 1..{n} at position {start}")

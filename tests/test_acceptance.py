@@ -177,8 +177,8 @@ def test_criterion_10_structural_diagnostics():
             for x, y in zip(p.nodes, p.nodes[1:]):
                 assert (x, y) in gm.r_edges or (x, y) in gm.s_edges
     stats = gamma_stats(4)
-    assert stats.valid_paths == 24
-    assert stats.unconstrained_walks >= stats.valid_paths
+    assert stats["valid_paths"] == 24
+    assert stats["unconstrained_walks"] >= stats["valid_paths"]
     # reported, never asserted equal: local adjacency admits more walks
-    assert "unconstrained_walks" in stats.to_dict()
+    assert "unconstrained_walks" in stats
     passed(10, "structural diagnostics")

@@ -278,6 +278,12 @@ class TestGraphFormat:
         with pytest.raises(ValueError, match="bad header line"):
             parse_graph(header + "\n" + ("1" * n + "\n") * n)
 
+    def test_header_past_int_digit_limit(self):
+        # int() would refuse it too, naming no header
+        msg = "^bad header line of 5000 digits; n has at most 4300$"
+        with pytest.raises(ValueError, match=msg):
+            parse_graph("1" * 5000 + "\n1\n")
+
     def test_crlf_line_ends(self):
         expected = parse_graph("2\n11\n01\n")
         assert parse_graph("2\r\n11\r\n01\r\n") == expected

@@ -121,22 +121,23 @@ class TestCountViaCvmp:
 class TestVerify:
     def test_agreeing_instance(self):
         report = verify(BipartiteGraph.complete(3))
-        assert report.agreement
-        assert report.count_cvmp == report.count_bruteforce == report.count_ryser == 6
-        assert set(report.elapsed) == {"cvmp", "bruteforce", "ryser"}
+        assert report["agreement"]
+        assert report["count_cvmp"] == report["count_bruteforce"] == report["count_ryser"] == 6
+        assert set(report["elapsed"]) == {"cvmp", "bruteforce", "ryser"}
 
     def test_complete_9_by_all_three(self):
         report = verify(BipartiteGraph.complete(9))
-        assert report.count_cvmp == report.count_bruteforce == report.count_ryser == 362880
-        assert report.agreement
+        counts = {report[k] for k in ("count_cvmp", "count_bruteforce", "count_ryser")}
+        assert counts == {362880}
+        assert report["agreement"]
 
     def test_embeds_reproducible_graph(self):
         g = random_graph(4, 0.5, 17)
         report = verify(g)
-        assert report.graph == serialize_graph(g)
+        assert report["graph"] == serialize_graph(g)
 
     def test_dict_key_order_fixed(self):
-        d = verify(BipartiteGraph.complete(3)).to_dict()
+        d = verify(BipartiteGraph.complete(3))
         assert list(d) == [
             "n",
             "graph",
@@ -151,17 +152,17 @@ class TestVerify:
 class TestSweep:
     def test_exhaustive_n2(self):
         report = sweep(2)
-        assert report.instances == 16
-        assert report.agreement and report.mismatches == []
+        assert report["instances"] == 16
+        assert report["agreement"] and report["mismatches"] == []
 
     def test_exhaustive_n3(self):
         report = sweep(3)
-        assert report.instances == 512
-        assert report.agreement
+        assert report["instances"] == 512
+        assert report["agreement"]
 
     def test_random_reproducible(self):
-        a = sweep(6, trials=50, seed=5).to_dict()
-        b = sweep(6, trials=50, seed=5).to_dict()
+        a = sweep(6, trials=50, seed=5)
+        b = sweep(6, trials=50, seed=5)
         assert a == b
         assert a["instances"] == 50 and a["agreement"]
 
@@ -179,9 +180,9 @@ class TestSweep:
 
     def test_dict_key_order_fixed(self):
         keys = ["n", "mode", "instances", "agreement", "mismatches"]
-        assert list(sweep(2).to_dict()) == keys
+        assert list(sweep(2)) == keys
         keys[2:2] = ["trials", "seed"]
-        assert list(sweep(3, trials=2, seed=1).to_dict()) == keys
+        assert list(sweep(3, trials=2, seed=1)) == keys
 
     def test_random_guard_stays_below_path_counting(self):
         # path counting reaches n = 9, but a random sweep stops at 7
@@ -190,41 +191,41 @@ class TestSweep:
 
     def test_mismatches_sorted_and_replayable(self, cvmp_off_on_edge_11):
         report = sweep(2)
-        assert report.instances == 16 and not report.agreement
-        assert len(report.mismatches) == 8
-        graphs = [e["graph"] for e in report.mismatches]
+        assert report["instances"] == 16 and not report["agreement"]
+        assert len(report["mismatches"]) == 8
+        graphs = [e["graph"] for e in report["mismatches"]]
         assert graphs == sorted(graphs)
-        for entry in report.mismatches:
+        for entry in report["mismatches"]:
             g = parse_graph(entry["graph"])
             assert g.has_edge(1, 1)
             assert entry["count_cvmp"] == count_ryser(g) + 1
             assert entry["count_bruteforce"] == entry["count_ryser"] == count_bruteforce(g)
 
 
-class TestStructureDiagnostics:
+class TestGammaStats:
     def test_n4(self):
         stats = gamma_stats(4)
-        assert stats.node_count == 18
-        assert stats.valid_paths == 24
-        assert stats.valid_paths <= stats.unconstrained_walks
+        assert stats["node_count"] == 18
+        assert stats["valid_paths"] == 24
+        assert stats["valid_paths"] <= stats["unconstrained_walks"]
 
     def test_trivial(self):
         stats = gamma_stats(1)
-        assert stats.node_count == 1
-        assert stats.valid_paths == stats.unconstrained_walks == 1
+        assert stats["node_count"] == 1
+        assert stats["valid_paths"] == stats["unconstrained_walks"] == 1
 
     def test_walk_bound_holds(self):
         for n in range(2, 7):
             stats = gamma_stats(n)
-            assert stats.valid_paths == math.factorial(n)
-            assert stats.valid_paths <= stats.unconstrained_walks
+            assert stats["valid_paths"] == math.factorial(n)
+            assert stats["valid_paths"] <= stats["unconstrained_walks"]
 
     def test_local_dp_stops_counting_s_n_at_n4(self):
         # The level-local DP over the O(n^3) nodes counts S_n only up to
         # n = 3; from n = 4 on it counts walks that are not permutations.
         for n in (1, 2, 3):
-            assert gamma_stats(n).unconstrained_walks == math.factorial(n)
-        walks = {n: gamma_stats(n).unconstrained_walks for n in (4, 5, 6)}
+            assert gamma_stats(n)["unconstrained_walks"] == math.factorial(n)
+        walks = {n: gamma_stats(n)["unconstrained_walks"] for n in (4, 5, 6)}
         assert walks == {4: 28, 5: 220, 6: 2808}
         assert all(walks[n] > math.factorial(n) for n in walks)
 
@@ -234,7 +235,7 @@ class TestStructureDiagnostics:
 
     def test_largest_built_graph(self):
         # n = 12 is the largest n the build guard allows
-        assert gamma_stats(12).to_dict() == {
+        assert gamma_stats(12) == {
             "n": 12,
             "node_count": 518,
             "r_edge_count": 2486,
@@ -330,6 +331,25 @@ class TestCli:
             "unconstrained_walks",
         ]
 
+    def test_json_stdout_is_the_library_result(self, tmp_path, capsys):
+        g = random_graph(5, 0.5, 7)
+        path = self.write_graph(tmp_path, serialize_graph(g))
+        runs = [
+            (["sweep", "--n", "2", "--exhaustive"], sweep(2)),
+            (["sweep", "--n", "3", "--trials", "4", "--seed", "2"], sweep(3, 4, 2)),
+            (["gamma", "--n", "3", "--stats"], gamma_stats(3)),
+            (["verify", path], verify(g)),
+        ]
+        for argv, result in runs:
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            if "elapsed" in result:
+                # the timings differ between runs: compare their keys only
+                printed = json.loads(out)["elapsed"]
+                assert list(printed) == list(result["elapsed"])
+                result["elapsed"] = printed
+            assert out == json.dumps(result, indent=2) + "\n", argv
+
     def test_gamma_dot(self, capsys):
         assert main(["gamma", "--n", "4", "--dot"]) == 0
         out = capsys.readouterr().out
@@ -374,6 +394,18 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: expected a point at position 3\n"
+
+    def test_numbers_past_int_digit_limit_exit_2(self, tmp_path, capsys):
+        path = self.write_graph(tmp_path, "1" * 5000 + "\n1\n")
+        runs = [
+            (["factorize", "--n", "4", "(1," + "2" * 5000 + ")"],
+             "error: point of 5000 digits, more than 4300, at position 3\n"),
+            (["verify", path],
+             f"error: {path}: bad header line of 5000 digits; n has at most 4300\n"),
+        ]
+        for argv, err in runs:
+            assert main(argv) == 2
+            assert capsys.readouterr() == ("", err)
 
     def test_gen_density_one(self, capsys):
         assert main(["gen", "--n", "3", "--density", "1", "--seed", "0"]) == 0

@@ -1,20 +1,20 @@
 """The permanent kernel against reference permanents and closed forms.
 
 The kernel takes one column bitmask per row, as `count_ryser` passes it the
-graph's rows; the tests build 0/1 matrices, as numpy arrays or lists, and
-pass them through `bitmasks`.
+graph's rows; the tests build 0/1 matrices as lists and pass them through
+`bitmasks`.
 """
 
 import itertools
 import math
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permmatch import BipartiteGraph, count_ryser, kernels
+from permmatch.bipartite import _uniform_stream
 from relabel import assert_relabel_invariant, shuffled, square_01
 
 
@@ -49,6 +49,10 @@ def random_rows(n, density, seed):
     return [[int(rnd.random() < density) for _ in range(n)] for _ in range(n)]
 
 
+def ones(n):
+    return [[1] * n for _ in range(n)]
+
+
 def bitmasks(a):
     return [sum(int(e) << w for w, e in enumerate(row)) for row in a]
 
@@ -60,13 +64,17 @@ def derangements(n):
     return d[n]
 
 
+NOT_01_OR_NOT_SQUARE = [[[2]], [[1, -1], [0, 1]], [[0.5, 1], [1, 1]], [[1, 1]]]
+
+
 class TestRyser:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_brute(self, n):
-        rng = np.random.default_rng(n)
+        # the doubles of default_rng(n).random((n, n)), one matrix after another
+        draws = _uniform_stream(n)
         for _ in range(10 if n == 8 else 30):
-            a = (rng.random((n, n)) < 0.5).astype(int)
-            assert kernels.ryser_permanent(bitmasks(a)) == brute_permanent(a.tolist())
+            a = [[int(next(draws) < 0.5) for _ in range(n)] for _ in range(n)]
+            assert kernels.ryser_permanent(bitmasks(a)) == brute_permanent(a)
 
     @pytest.mark.parametrize("n", range(10, 15))
     @pytest.mark.parametrize("density", [0.1, 0.5, 0.9])
@@ -84,30 +92,33 @@ class TestRyser:
 
     def test_complete_factorials(self):
         for n in range(1, 9):
-            assert kernels.ryser_permanent(bitmasks(np.ones((n, n)))) == math.factorial(n)
+            assert kernels.ryser_permanent(bitmasks(ones(n))) == math.factorial(n)
 
     def test_complete_across_overflow_boundaries(self):
         # 20! < 2^64 < 21!: a fixed-width shortcut would go wrong at n = 21
         for n in (20, 21):
-            a = np.ones((n, n), dtype=np.int64)
-            assert kernels.ryser_permanent(bitmasks(a)) == math.factorial(n)
+            assert kernels.ryser_permanent(bitmasks(ones(n))) == math.factorial(n)
 
     def test_derangements_past_wraparound(self):
         n = 21
-        a = np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64)
+        a = [[int(v != w) for w in range(n)] for v in range(n)]
         assert kernels.ryser_permanent(bitmasks(a)) == derangements(n)
 
-    @pytest.mark.parametrize(
-        "a", [[[2]], [[1, -1], [0, 1]], [[0.5, 1], [1, 1]], [[1, 1]]]
-    )
+    @pytest.mark.parametrize("a", NOT_01_OR_NOT_SQUARE)
     def test_rejects_non_01_or_non_square(self, a):
         # The kernel reads bitmasks; a matrix reaches it through the graph.
         with pytest.raises(ValueError):
-            count_ryser(BipartiteGraph.from_matrix(np.array(a)))
+            count_ryser(BipartiteGraph.from_matrix(a))
+
+    def test_rejects_non_01_or_non_square_numpy_arrays(self):
+        np = pytest.importorskip("numpy")
+        for a in NOT_01_OR_NOT_SQUARE:
+            with pytest.raises(ValueError):
+                count_ryser(BipartiteGraph.from_matrix(np.array(a)))
 
     def test_guard(self):
         with pytest.raises(ValueError, match="Ryser is guarded at 1 <= n <= 24$"):
-            kernels.ryser_permanent(bitmasks(np.ones((25, 25), dtype=np.int64)))
+            kernels.ryser_permanent(bitmasks(ones(25)))
 
     @settings(max_examples=50, deadline=None)
     @given(square_01, st.randoms(use_true_random=False))

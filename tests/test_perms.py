@@ -145,6 +145,12 @@ class TestCycleText:
         with pytest.raises(ValueError, match="^expected a point at position 3$"):
             parse_cycles(text, 3)
 
+    def test_point_past_int_digit_limit(self):
+        # int() would refuse it too, naming no position
+        msg = "^point of 5000 digits, more than 4300, at position 3$"
+        with pytest.raises(ValueError, match=msg):
+            parse_cycles("(1," + "2" * 5000 + ")", 4)
+
     def test_error_carries_position(self):
         with pytest.raises(ValueError, match="position"):
             parse_cycles("(1,2)x", 4)
