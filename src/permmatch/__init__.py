@@ -36,7 +36,6 @@ from .gamma import (
 )
 from .harness import count_via_cvmp, sweep, verify
 from .perms import (
-    CosetChain,
     Permutation,
     Transposition,
     compose,

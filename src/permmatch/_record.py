@@ -8,7 +8,7 @@ it what `dataclasses` would, without importing that module (which loads
   or duplicate field, then calling the subclass's `_validate` hook;
 - no assignment or deletion once built (AttributeError);
 - equality and hashing by field values, between instances of one class only;
-- a `Name(field=value, ...)` repr, and `to_dict()` in field order.
+- a `Name(field=value, ...)` repr.
 """
 
 from operator import attrgetter
@@ -74,6 +74,3 @@ class Record:
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f) for f in self._fields)
-
-    def to_dict(self) -> dict:
-        return {f: getattr(self, f) for f in self._fields}

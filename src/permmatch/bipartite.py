@@ -30,10 +30,11 @@ same graph whatever NumPy release is installed, or none.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 
 from . import kernels
-from ._guards import DIGITS_MAX, guard
+from ._guards import guard
 from ._record import Record
 from .perms import Permutation
 
@@ -222,9 +223,11 @@ def parse_graph(text: str) -> BipartiteGraph:
     header = lines[0]
     if not (header.isascii() and header.isdigit()):
         raise ValueError(f"bad header line {header!r}; expected decimal n")
-    if len(header) > DIGITS_MAX:
-        raise ValueError(f"bad header line of {len(header)} digits; n has at most {DIGITS_MAX}")
-    n = int(header)
+    try:
+        n = int(header)
+    except ValueError:  # past the interpreter's digit limit
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"bad header line of {len(header)} digits; n has at most {limit}") from None
     if n < 1:
         raise ValueError(f"bad header n={n}; must be >= 1")
     body = lines[1:]
@@ -237,21 +240,16 @@ def parse_graph(text: str) -> BipartiteGraph:
         bad = set(line) - {"0", "1"}
         if bad:
             raise ValueError(f"row {v} has characters outside 0/1: {sorted(bad)}")
-        bits = 0
-        for w, ch in enumerate(line):
-            if ch == "1":
-                bits |= 1 << w
-        rows.append(bits)
+        # checked first: int(s, 2) also takes "_", a sign and blanks
+        rows.append(int(line[::-1], 2))
     if len(body) != n:
         raise ValueError(f"expected {n} rows after the header, got {len(body)}")
     return BipartiteGraph(n, rows)
 
 
 def serialize_graph(g: BipartiteGraph) -> str:
-    lines = [str(g.n)]
-    for r in g.rows:
-        lines.append("".join("1" if r >> w & 1 else "0" for w in range(g.n)))
-    return "\n".join(lines) + "\n"
+    n = g.n
+    return "\n".join([str(n)] + [f"{r:0{n}b}"[::-1] for r in g.rows]) + "\n"
 
 
 _M32 = (1 << 32) - 1

@@ -251,7 +251,7 @@ def enumerate_cvmps(n: int):
     by k); t is forced by the suffix product.  No generating graph is built.
     """
     guard("enumeration", n)
-    for f in itertools.product(*reversed(coset_transversals(n).levels)):
+    for f in itertools.product(*reversed(coset_transversals(n))):
         yield _factors_to_path(f[::-1])
 
 

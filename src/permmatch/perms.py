@@ -11,9 +11,9 @@ the transposition (i,k) with k >= i, and its identity I is (i,i).
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 
-from ._guards import DIGITS_MAX
 from ._record import Record
 
 
@@ -72,23 +72,6 @@ class Transposition(Record):
         return "I" if self.is_identity else f"({self.i},{self.k})"
 
 
-class CosetChain(Record):
-    """Transversals U_1..U_n of the point-stabilizer chain of S_n.
-
-    Level i holds (i,k) for k = i..n, so {I, (i,i+1), ..., (i,n)} with the
-    identity (i,i) first; |U_i| = n - i + 1 and the level sizes multiply
-    to n!.
-    """
-
-    __slots__ = (
-        "n",
-        "levels",  # tuple of tuples of Transposition
-    )
-
-    def level(self, i: int) -> tuple:
-        return self.levels[i - 1]
-
-
 def compose(p: Permutation, q: Permutation) -> Permutation:
     """Left-to-right product: the result maps i to q(p(i))."""
     if p.n != q.n:
@@ -98,18 +81,23 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
 
 
 @lru_cache(maxsize=None)
-def coset_transversals(n: int) -> CosetChain:
+def coset_transversals(n: int) -> tuple:
+    """Transversals U_1..U_n of the point-stabilizer chain of S_n, as a tuple.
+
+    Entry i-1 is U_i, the tuple of (i,k) for k = i..n, so {I, (i,i+1), ...,
+    (i,n)} with the identity (i,i) first; |U_i| = n - i + 1 and the level
+    sizes multiply to n!.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    levels = tuple(
+    return tuple(
         tuple(Transposition(i, k) for k in range(i, n + 1)) for i in range(1, n + 1)
     )
-    return CosetChain(n, levels)
 
 
-def order_from_chain(chain: CosetChain) -> int:
+def order_from_chain(chain: tuple) -> int:
     # Python ints are arbitrary precision, so the product is always exact.
-    return math.prod(len(lev) for lev in chain.levels)
+    return math.prod(len(lev) for lev in chain)
 
 
 def sift(p: Permutation) -> list:
@@ -121,7 +109,7 @@ def sift(p: Permutation) -> list:
     """
     factors = []
     residue = p
-    for i, level in enumerate(coset_transversals(p.n).levels, start=1):
+    for i, level in enumerate(coset_transversals(p.n), start=1):
         psi = level[residue.image(i) - i]
         factors.append(psi)
         residue = compose(residue, psi.to_perm(p.n))
@@ -137,9 +125,8 @@ def unsift(factors) -> Permutation:
     n = len(factors)
     if n < 1:
         raise ValueError("need at least one factor")
-    chain = coset_transversals(n)
-    for i, psi in enumerate(factors, start=1):
-        if psi not in chain.level(i):
+    for i, (psi, level) in enumerate(zip(factors, coset_transversals(n)), start=1):
+        if psi not in level:
             raise ValueError(f"factor ({psi.i},{psi.k}) at level {i} is not in U_{i}")
     return suffix_products(factors)[0]
 
@@ -192,11 +179,13 @@ def parse_cycles(text: str, n: int) -> Permutation:
                 pos += 1
             if pos == start:
                 raise ValueError(f"expected a point at position {start}")
-            if pos - start > DIGITS_MAX:
+            try:
+                point = int(text[start:pos])
+            except ValueError:  # past the interpreter's digit limit
+                limit = sys.get_int_max_str_digits()
                 raise ValueError(
-                    f"point of {pos - start} digits, more than {DIGITS_MAX}, at position {start}"
-                )
-            point = int(text[start:pos])
+                    f"point of {pos - start} digits, more than {limit}, at position {start}"
+                ) from None
             if not (1 <= point <= n):
                 raise ValueError(f"point {point} out of range 1..{n} at position {start}")
             if point in seen:

@@ -45,10 +45,10 @@ def passed(num, text):
 
 def test_criterion_1_transversal_table():
     chain = coset_transversals(4)
-    assert chain.level(1) == tuple(Transposition(1, k) for k in (1, 2, 3, 4))
-    assert chain.level(2) == (Transposition(2, 2), Transposition(2, 3), Transposition(2, 4))
-    assert chain.level(3) == (Transposition(3, 3), Transposition(3, 4))
-    assert chain.level(4) == (Transposition(4, 4),)
+    assert chain[0] == tuple(Transposition(1, k) for k in (1, 2, 3, 4))
+    assert chain[1] == (Transposition(2, 2), Transposition(2, 3), Transposition(2, 4))
+    assert chain[2] == (Transposition(3, 3), Transposition(3, 4))
+    assert chain[3] == (Transposition(4, 4),)
     assert order_from_chain(chain) == 24
     coset_transversals(4)  # warm
     t0 = time.perf_counter()

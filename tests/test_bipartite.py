@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import re
+import sys
 import tracemalloc
 
 import pytest
@@ -279,10 +280,17 @@ class TestGraphFormat:
             parse_graph(header + "\n" + ("1" * n + "\n") * n)
 
     def test_header_past_int_digit_limit(self):
-        # int() would refuse it too, naming no header
-        msg = "^bad header line of 5000 digits; n has at most 4300$"
-        with pytest.raises(ValueError, match=msg):
-            parse_graph("1" * 5000 + "\n1\n")
+        # int() refuses it, naming no header; the message names the limit in
+        # force, the default or the lowest one CPython accepts
+        before = sys.get_int_max_str_digits()
+        try:
+            for limit, digits in [(4300, 5000), (640, 1000)]:
+                sys.set_int_max_str_digits(limit)
+                msg = f"^bad header line of {digits} digits; n has at most {limit}$"
+                with pytest.raises(ValueError, match=msg):
+                    parse_graph("1" * digits + "\n1\n")
+        finally:
+            sys.set_int_max_str_digits(before)
 
     def test_crlf_line_ends(self):
         expected = parse_graph("2\n11\n01\n")

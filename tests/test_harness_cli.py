@@ -407,6 +407,19 @@ class TestCli:
             assert main(argv) == 2
             assert capsys.readouterr() == ("", err)
 
+    def test_numbers_past_lowered_int_digit_limit_exit_2(self, tmp_path):
+        # the interpreter's own limit, lowered to the least CPython accepts
+        path = self.write_graph(tmp_path, "1" * 1000 + "\n1\n")
+        runs = [
+            (["factorize", "--n", "4", "(1," + "2" * 1000 + ")"],
+             "error: point of 1000 digits, more than 640, at position 3\n"),
+            (["verify", path],
+             f"error: {path}: bad header line of 1000 digits; n has at most 640\n"),
+        ]
+        for argv, err in runs:
+            result = run_python(["-X", "int_max_str_digits=640", "-m", "permmatch", *argv])
+            assert (result.returncode, result.stdout, result.stderr) == (2, "", err)
+
     def test_gen_density_one(self, capsys):
         assert main(["gen", "--n", "3", "--density", "1", "--seed", "0"]) == 0
         assert capsys.readouterr().out == "3\n111\n111\n111\n"
