@@ -36,7 +36,6 @@ from functools import lru_cache
 from . import kernels
 from ._guards import guard
 from ._record import Record
-from .perms import Permutation
 
 
 class BipartiteGraph(Record):
@@ -118,7 +117,8 @@ class Matching(Record):
                 raise ValueError(f"edge ({v},{w}) out of range 1..{self.n}")
 
 
-def perm_to_matching(p: Permutation) -> Matching:
+def perm_to_matching(p) -> Matching:
+    """The matching of a `perms.Permutation` p: edge (v, p(v)) for each v."""
     return Matching(p.n, frozenset((v, p.image(v)) for v in range(1, p.n + 1)))
 
 
@@ -230,6 +230,10 @@ def parse_graph(text: str) -> BipartiteGraph:
         raise ValueError(f"bad header line of {len(header)} digits; n has at most {limit}") from None
     if n < 1:
         raise ValueError(f"bad header n={n}; must be >= 1")
+    if n > sys.maxsize:
+        # no str has more characters, so no row can be n long; the message
+        # names n's digits, which are up to the whole input, not n itself
+        raise ValueError(f"bad header n of {len(header)} digits; no row can have n characters")
     body = lines[1:]
     rows = []
     # rows before the count, so that a row holding a stray separator is

@@ -14,9 +14,10 @@ import gc
 import os
 import sys
 
-from . import bipartite, gamma, harness
+# gamma and perms are read through their modules: binding one of their
+# names here would load them at import, and only gamma and factorize use them
+from . import bipartite, gamma, harness, perms
 from ._guards import guard
-from .perms import parse_cycles
 
 
 def _read_graph(path: str) -> bipartite.BipartiteGraph:
@@ -66,7 +67,7 @@ def _cmd_gamma(args) -> int:
 
 def _cmd_factorize(args) -> int:
     guard("factorize", args.n)
-    p = parse_cycles(args.cycles, args.n)
+    p = perms.parse_cycles(args.cycles, args.n)
     path = gamma.perm_to_path(p)
     print("*".join(str(x.psi) for x in reversed(path.nodes)))
     print(str(path))

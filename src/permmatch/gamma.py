@@ -226,11 +226,6 @@ def validate_path(path: Cvmp) -> list:
     return products
 
 
-def path_to_perm(path: Cvmp) -> Permutation:
-    """Ordered product psi(x_n) ... psi(x_1) of a valid path."""
-    return validate_path(path)[0]
-
-
 def _factors_to_path(factors) -> Cvmp:
     """The valid path of per-level factors [psi_1 .. psi_n], psi_i in U_i."""
     suffixes = suffix_products(factors)
@@ -262,8 +257,9 @@ def surplus_edges(path: Cvmp) -> frozenset:
 
 
 def path_to_matching(path: Cvmp) -> Matching:
-    """Union of node edges minus surplus edges; equals the matching of
-    path_to_perm(path).  The path is validated once, by surplus_edges."""
+    """Union of node edges minus surplus edges; equals the matching of the
+    path's product psi(x_n) ... psi(x_1).  The path is validated once, by
+    surplus_edges."""
     union = set()
     for x in path.nodes:
         union |= x.node_edges

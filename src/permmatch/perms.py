@@ -10,7 +10,6 @@ the transposition (i,k) with k >= i, and its identity I is (i,i).
 
 from __future__ import annotations
 
-import math
 import sys
 from functools import lru_cache
 
@@ -93,11 +92,6 @@ def coset_transversals(n: int) -> tuple:
     return tuple(
         tuple(Transposition(i, k) for k in range(i, n + 1)) for i in range(1, n + 1)
     )
-
-
-def order_from_chain(chain: tuple) -> int:
-    # Python ints are arbitrary precision, so the product is always exact.
-    return math.prod(len(lev) for lev in chain)
 
 
 def sift(p: Permutation) -> list:

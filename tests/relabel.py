@@ -3,16 +3,19 @@
 The relabelling property: relabelling rows or columns, or transposing,
 leaves the number of perfect matchings unchanged.  Each counter's test
 module runs it with its own counter.  Also all of S_n, the check that a
-permutation fixes a prefix of its points, and cycle text for a
-permutation, which only tests need.
+permutation fixes a prefix of its points, cycle text for a permutation,
+the order of a stabilizer chain and the product of a valid path, which
+only tests need.
 """
 
 import itertools
+import math
 import random
 
 from hypothesis import strategies as st
 
 from permmatch import BipartiteGraph, Permutation
+from permmatch.gamma import validate_path
 
 square_01 = st.integers(1, 7).flatmap(
     lambda n: st.lists(
@@ -69,3 +72,13 @@ def format_cycles(p):
             j = p.image(j)
         out.append("(" + ",".join(cyc) + ")")
     return "".join(out) or "()"
+
+
+def order_from_chain(chain):
+    """|S_n| read off the chain: the product of its level sizes."""
+    return math.prod(len(lev) for lev in chain)
+
+
+def path_to_perm(path):
+    """Ordered product psi(x_n) ... psi(x_1) of a valid path."""
+    return validate_path(path)[0]

@@ -25,10 +25,8 @@ from permmatch import (
     four_cycle,
     gamma_stats,
     is_product_realized,
-    order_from_chain,
     parse_cycles,
     path_to_matching,
-    path_to_perm,
     perm_to_matching,
     perm_to_path,
     random_graph,
@@ -36,7 +34,7 @@ from permmatch import (
     surplus_edges,
     unsift,
 )
-from relabel import all_permutations
+from relabel import all_permutations, order_from_chain, path_to_perm
 
 
 def passed(num, text):

@@ -292,6 +292,19 @@ class TestGraphFormat:
         finally:
             sys.set_int_max_str_digits(before)
 
+    def test_header_past_any_row_names_its_digits(self):
+        # n = sys.maxsize is still echoed whole; one more fits no str, so no
+        # row can reach it and the message names n's digits, not n, which
+        # could be thousands of characters on stderr
+        n = sys.maxsize
+        with pytest.raises(ValueError, match=f"^row 1 has 1 characters, expected {n}$"):
+            parse_graph(f"{n}\n1\n")
+        for header in (str(n + 1), "1" * 4300):
+            msg = f"^bad header n of {len(header)} digits; no row can have n characters$"
+            for body in ("1\n", ""):
+                with pytest.raises(ValueError, match=msg):
+                    parse_graph(header + "\n" + body)
+
     def test_crlf_line_ends(self):
         expected = parse_graph("2\n11\n01\n")
         assert parse_graph("2\r\n11\r\n01\r\n") == expected

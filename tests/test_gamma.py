@@ -15,14 +15,13 @@ from permmatch import (
     export_dot,
     parse_cycles,
     path_to_matching,
-    path_to_perm,
     perm_to_matching,
     perm_to_path,
     random_graph,
     surplus_edges,
 )
 from permmatch.gamma import Cvmp, GammaNode
-from relabel import all_permutations
+from relabel import all_permutations, path_to_perm
 
 
 def figure_path():

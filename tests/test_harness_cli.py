@@ -420,6 +420,22 @@ class TestCli:
             result = run_python(["-X", "int_max_str_digits=640", "-m", "permmatch", *argv])
             assert (result.returncode, result.stdout, result.stderr) == (2, "", err)
 
+    def test_giant_header_exits_2_with_a_short_message(self, tmp_path):
+        # a header of up to the digit limit used to come back whole on
+        # stderr; messages at real sizes keep their bytes
+        giant = "error: {}: bad header n of 4300 digits; no row can have n characters\n"
+        cases = [
+            ("1" * 4300 + "\n1\n", giant),
+            ("1" * 4300 + "\n", giant),
+            ("2\n111\n11\n", "error: {}: row 1 has 3 characters, expected 2\n"),
+        ]
+        for text, err in cases:
+            path = self.write_graph(tmp_path, text)
+            result = run_python(["-m", "permmatch", "verify", path])
+            assert (result.returncode, result.stdout) == (2, "")
+            assert result.stderr == err.format(path)
+            assert len(result.stderr.encode()) < 200
+
     def test_gen_density_one(self, capsys):
         assert main(["gen", "--n", "3", "--density", "1", "--seed", "0"]) == 0
         assert capsys.readouterr().out == "3\n111\n111\n111\n"
@@ -510,12 +526,12 @@ class TestCli:
 
     @pytest.mark.parametrize("n", ["10", "1000000000"])
     def test_factorize_past_guard_exits_2_before_parsing(self, n, monkeypatch, capsys):
-        import permmatch.cli as cli
+        import permmatch.perms as perms
 
         def never(text, n):
             raise AssertionError("parsed a permutation that factorize refuses")
 
-        monkeypatch.setattr(cli, "parse_cycles", never)
+        monkeypatch.setattr(perms, "parse_cycles", never)
         assert main(["factorize", "--n", n, "()"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -616,6 +632,71 @@ class TestCli:
             "    with contextlib.redirect_stdout(io.StringIO()):",
             "        assert main(argv) == 0, argv",
             "assert 'json' not in sys.modules, 'json was imported'",
+        ])
+        result = run_python(["-c", script])
+        assert result.returncode == 0, result.stderr
+
+    @pytest.mark.parametrize(
+        "user", [["gamma", "--n", "3", "--stats"], ["factorize", "--n", "4", "(1,2,4,3)"]],
+        ids=["gamma-stats", "factorize"],
+    )
+    def test_gamma_and_perms_registered_but_loaded_on_first_use(self, user, tmp_path):
+        # a tracer wrapping every measured module reads all six from
+        # sys.modules right after `import permmatch.cli`, yet no counting
+        # command runs gamma or perms, so they are compiled on first use;
+        # type() reads no attribute, so checking cannot load them
+        path = self.write_graph(tmp_path, "4\n1101\n0111\n1011\n1110\n")
+        script = "\n".join([
+            "import contextlib, io, sys, types",
+            "import permmatch.cli",
+            "from permmatch.cli import main",
+            "measured = ('cli', 'bipartite', 'perms', 'gamma', 'harness', 'kernels')",
+            "missing = [m for m in measured if 'permmatch.' + m not in sys.modules]",
+            "assert not missing, f'{missing} not registered'",
+            "lazy = ('permmatch.gamma', 'permmatch.perms')",
+            "def loaded():",
+            "    return [m for m in lazy if type(sys.modules[m]) is types.ModuleType]",
+            "assert not loaded(), f'{loaded()} loaded by the import'",
+            f"path = {path!r}",
+            "runs = [['verify', path], ['gen', '--n', '6', '--density', '0.5', '--seed', '7'],",
+            "        ['sweep', '--n', '2', '--exhaustive'],",
+            "        ['sweep', '--n', '4', '--trials', '3', '--seed', '1']]",
+            "runs += [['count', '--method', m, path] for m in ('cvmp', 'brute', 'ryser')]",
+            f"runs.append({user!r})",
+            "for argv in runs:",
+            "    with contextlib.redirect_stdout(io.StringIO()):",
+            "        assert main(argv) == 0, argv",
+            "    if argv is not runs[-1]:",
+            "        assert not loaded(), f'{loaded()} loaded by {argv}'",
+            "assert loaded() == list(lazy), f'only {loaded()} loaded by {runs[-1]}'",
+            "assert 'build_gamma' in vars(sys.modules['permmatch.gamma'])",
+        ])
+        result = run_python(["-c", script])
+        assert result.returncode == 0, result.stderr
+
+    def test_package_exports_in_a_fresh_process(self):
+        # every name the package exported before gamma and perms were
+        # loaded lazily, each bound to its module's own object
+        names = {
+            "bipartite": "BipartiteGraph Matching contains_matching count_bruteforce "
+            "count_ryser parse_graph perm_to_matching random_graph serialize_graph",
+            "gamma": "Cvmp FourCycleWitness GammaGraph GammaNode build_gamma "
+            "edge_requirement enumerate_cvmps export_dot four_cycle gamma_stats "
+            "is_product_realized path_to_matching perm_to_path surplus_edges",
+            "harness": "count_via_cvmp sweep verify",
+            "perms": "Permutation Transposition compose coset_transversals "
+            "parse_cycles sift unsift",
+        }
+        script = "\n".join([
+            "import permmatch",
+            f"names = {names!r}",
+            "for module, listed in names.items():",
+            "    for name in listed.split():",
+            "        exec(f'from permmatch import {name} as got')",
+            "        assert got is getattr(getattr(permmatch, module), name), name",
+            "assert permmatch.__version__ == '0.1.0'",
+            "# hasattr lets only AttributeError through as False",
+            "assert not hasattr(permmatch, 'no_such_name')",
         ])
         result = run_python(["-c", script])
         assert result.returncode == 0, result.stderr

@@ -13,12 +13,11 @@ from permmatch import (
     Transposition,
     compose,
     coset_transversals,
-    order_from_chain,
     parse_cycles,
     sift,
     unsift,
 )
-from relabel import all_permutations, fixes, format_cycles
+from relabel import all_permutations, fixes, format_cycles, order_from_chain
 
 
 def perm(text, n):
