@@ -2,7 +2,8 @@
 
 A graph is an n x n bit-matrix over the two sides V and W, both labeled
 1..n.  Perfect matchings correspond bijectively to permutations via
-"edge (v,w) matched iff v maps to w".  Two oracles count matchings: brute
+"edge (v,w) matched iff v maps to w", so the package represents a perfect
+matching by its `perms.Permutation`.  Two oracles count matchings: brute
 force over all of S_n (small n only) and the permanent kernel.  They share
 no code path, so agreement between them is meaningful evidence.
 
@@ -101,31 +102,12 @@ class BipartiteGraph(Record):
         return bool(self.rows[v - 1] >> (w - 1) & 1)
 
 
-class Matching(Record):
-    """A set of v-w edges with every endpoint used at most once."""
-
-    __slots__ = ("n", "pairs")
-
-    def _validate(self):
-        object.__setattr__(self, "pairs", frozenset(self.pairs))
-        vs = [v for v, _ in self.pairs]
-        ws = [w for _, w in self.pairs]
-        if len(set(vs)) != len(vs) or len(set(ws)) != len(ws):
-            raise ValueError("an endpoint is used by two edges")
-        for v, w in self.pairs:
-            if not (1 <= v <= self.n and 1 <= w <= self.n):
-                raise ValueError(f"edge ({v},{w}) out of range 1..{self.n}")
-
-
-def perm_to_matching(p) -> Matching:
-    """The matching of a `perms.Permutation` p: edge (v, p(v)) for each v."""
-    return Matching(p.n, frozenset((v, p.image(v)) for v in range(1, p.n + 1)))
-
-
-def contains_matching(g: BipartiteGraph, m: Matching) -> bool:
-    if g.n != m.n:
-        raise ValueError(f"size mismatch: graph n={g.n}, matching n={m.n}")
-    return all(g.has_edge(v, w) for v, w in m.pairs)
+def contains_matching(g: BipartiteGraph, p) -> bool:
+    """Does g hold the perfect matching of the `perms.Permutation` p, edge
+    (v, p(v)) for each v?"""
+    if g.n != p.n:
+        raise ValueError(f"size mismatch: graph n={g.n}, permutation n={p.n}")
+    return all(g.has_edge(v, w) for v, w in enumerate(p.images, start=1))
 
 
 # The largest cached table; count_bruteforce splits S_9 into cosets of S_8.
@@ -221,7 +203,8 @@ def parse_graph(text: str) -> BipartiteGraph:
     text = text.replace("\r\n", "\n")
     lines = (text[:-1] if text.endswith("\n") else text).split("\n")
     header = lines[0]
-    if not (header.isascii() and header.isdigit()):
+    # serialize_graph writes no leading zero, so none is accepted
+    if not (header.isascii() and header.isdigit()) or (header[0] == "0" and header != "0"):
         raise ValueError(f"bad header line {header!r}; expected decimal n")
     try:
         n = int(header)
@@ -319,8 +302,6 @@ def random_graph(n: int, density: float, seed: int) -> BipartiteGraph:
     one NumPy's `default_rng(seed)` draws, computed here in Python ints and
     fixed by this package rather than by a NumPy release, so a
     (n, density, seed) triple always regenerates the same bytes."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must lie in [0,1]")
     if seed < 0:

@@ -11,8 +11,9 @@ constraint: with pi_{n+1} = I and pi_i = pi_{i+1} * psi(x_i), every
 transposition node must have t equal to the preimage of k under pi_{i+1}.
 Valid paths are in bijection with S_n, one per product of the chain's
 transversals.  A path's matching is the union of its node edges minus the
-consumed ("surplus") edges, and qualifying a path against a concrete graph
-is a plain set difference (the edge requirement).
+consumed ("surplus") edges, held as the permutation it is, and qualifying a
+path against a concrete graph reads the edges that graph lacks (the edge
+requirement).
 
 Multiplying a realized permutation p by a transposition (i,k) exchanges two
 matched edges along a 4-cycle: with a and t the preimages of i and k under
@@ -29,7 +30,7 @@ import itertools
 
 from ._guards import LIMITS, guard
 from ._record import Record
-from .bipartite import BipartiteGraph, Matching, contains_matching, perm_to_matching
+from .bipartite import BipartiteGraph, contains_matching
 from .harness import count_via_cvmp
 from .perms import Permutation, Transposition, coset_transversals, sift, suffix_products
 
@@ -83,7 +84,7 @@ def is_product_realized(g: BipartiteGraph, p: Permutation, psi: Transposition) -
     """
     if g.n != p.n:
         raise ValueError(f"size mismatch: graph n={g.n}, permutation n={p.n}")
-    if not contains_matching(g, perm_to_matching(p)):
+    if not contains_matching(g, p):
         raise ValueError("p is not realized in g; hypothesis unmet")
     w = four_cycle(p, psi)
     return all(g.has_edge(v, u) for v, u in w.edges_after)
@@ -256,24 +257,28 @@ def surplus_edges(path: Cvmp) -> frozenset:
     return frozenset(x.consumed_edge for x in path.nodes if not x.is_identity)
 
 
-def path_to_matching(path: Cvmp) -> Matching:
-    """Union of node edges minus surplus edges; equals the matching of the
-    path's product psi(x_n) ... psi(x_1).  The path is validated once, by
-    surplus_edges."""
+def path_to_matching(path: Cvmp) -> Permutation:
+    """Union of node edges minus surplus edges, as the permutation mapping v
+    to w for each of those edges (v, w); equals the path's product
+    psi(x_n) ... psi(x_1).  The path is validated once, by surplus_edges.
+    Raises ValueError unless the edges are a perfect matching."""
     union = set()
     for x in path.nodes:
         union |= x.node_edges
-    pairs = union - surplus_edges(path)
-    return Matching(path.n, frozenset(pairs))
+    images = [0] * path.n
+    for v, w in union - surplus_edges(path):
+        if images[v - 1]:  # a second edge at row v would overwrite the first
+            raise ValueError(f"path {path} leaves two edges at row {v}")
+        images[v - 1] = w
+    return Permutation(images)  # refuses an unmatched row or a repeated column
 
 
 def edge_requirement(path: Cvmp, g: BipartiteGraph) -> frozenset:
     """Edges the path's matching needs but g lacks; empty iff g realizes it."""
     if g.n != path.n:
         raise ValueError(f"size mismatch: graph n={g.n}, path n={path.n}")
-    return frozenset(
-        (v, w) for v, w in path_to_matching(path).pairs if not g.has_edge(v, w)
-    )
+    images = path_to_matching(path).images
+    return frozenset((v, w) for v, w in enumerate(images, start=1) if not g.has_edge(v, w))
 
 
 def export_dot(n: int) -> str:

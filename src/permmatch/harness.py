@@ -115,8 +115,6 @@ def sweep(n: int, trials: int | None = None, seed: int | None = None) -> dict:
     instances, agreement, and mismatches (one dict per disagreeing graph,
     sorted by graph text).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     guard("sweep", n)
     if trials is None:
         guard("exhaustive sweep", n)

@@ -2,10 +2,10 @@
 
 The relabelling property: relabelling rows or columns, or transposing,
 leaves the number of perfect matchings unchanged.  Each counter's test
-module runs it with its own counter.  Also all of S_n, the check that a
-permutation fixes a prefix of its points, cycle text for a permutation,
-the order of a stabilizer chain and the product of a valid path, which
-only tests need.
+module runs it with its own counter.  Also all of S_n, the edge set of a
+permutation's matching, the check that a permutation fixes a prefix of its
+points, cycle text for a permutation, the order of a stabilizer chain and
+the product of a valid path, which only tests need.
 """
 
 import itertools
@@ -14,8 +14,9 @@ import random
 
 from hypothesis import strategies as st
 
-from permmatch import BipartiteGraph, Permutation
+from permmatch.bipartite import BipartiteGraph
 from permmatch.gamma import validate_path
+from permmatch.perms import Permutation
 
 square_01 = st.integers(1, 7).flatmap(
     lambda n: st.lists(
@@ -49,6 +50,11 @@ def all_permutations(n):
     """All of S_n in lexicographic image-table order."""
     for images in itertools.permutations(range(1, n + 1)):
         yield Permutation(images)
+
+
+def matching_edges(p):
+    """The perfect matching of permutation p as its edge set, (v, p(v)) for each v."""
+    return frozenset(enumerate(p.images, start=1))
 
 
 def fixes(p, upto):

@@ -1,4 +1,4 @@
-"""Graphs, matchings, the bijection with permutations, and the oracles."""
+"""Graphs, perfect matchings as permutations, and the oracles."""
 
 import hashlib
 import itertools
@@ -11,20 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permmatch import (
+from permmatch.bipartite import (
     BipartiteGraph,
-    Matching,
-    Permutation,
+    _bit_table,
+    _uniform_stream,
     contains_matching,
     count_bruteforce,
     count_ryser,
-    parse_cycles,
     parse_graph,
-    perm_to_matching,
     random_graph,
     serialize_graph,
 )
-from permmatch.bipartite import _bit_table, _uniform_stream
+from permmatch.perms import Permutation, parse_cycles
 from relabel import all_permutations, assert_relabel_invariant, shuffled, square_01
 
 # seeds around the 32-bit word boundaries that the seeding splits a seed at,
@@ -36,46 +34,58 @@ SEPARATORS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
 SIX_CYCLE = BipartiteGraph.from_matrix([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
 
 
+def assert_exactly_these_edges(p, edges):
+    """p's matching is `edges`, edge (v, p(v)) for each v: the graph of those
+    edges contains it, and the graph missing any one of them does not."""
+    edges = frozenset(edges)
+    assert contains_matching(BipartiteGraph.from_edges(p.n, edges), p)
+    for e in edges:
+        assert not contains_matching(BipartiteGraph.from_edges(p.n, edges - {e}), p), e
+
+
 class TestBijection:
     def test_identity(self):
-        m = perm_to_matching(Permutation.identity(3))
-        assert m.pairs == {(1, 1), (2, 2), (3, 3)}
+        assert_exactly_these_edges(Permutation.identity(3), {(1, 1), (2, 2), (3, 3)})
 
     def test_figure_permutation(self):
-        m = perm_to_matching(parse_cycles("(1,2,4,3)", 4))
-        assert m.pairs == {(1, 2), (2, 4), (4, 3), (3, 1)}
+        p = parse_cycles("(1,2,4,3)", 4)
+        assert_exactly_these_edges(p, {(1, 2), (2, 4), (4, 3), (3, 1)})
 
     def test_two_cycles(self):
-        m = perm_to_matching(parse_cycles("(1,3,5)(2,4)", 5))
-        assert m.pairs == {(1, 3), (3, 5), (5, 1), (2, 4), (4, 2)}
+        p = parse_cycles("(1,3,5)(2,4)", 5)
+        assert_exactly_these_edges(p, {(1, 3), (3, 5), (5, 1), (2, 4), (4, 2)})
 
     def test_injective_onto_perfect_matchings_on_s5(self):
-        matchings = {perm_to_matching(p) for p in all_permutations(5)}
-        assert len(matchings) == 120
-        assert all(len(m.pairs) == 5 for m in matchings)
+        # the graph of p's five edges contains p's matching and no other
+        perms = list(all_permutations(5))
+        for p in perms:
+            g = BipartiteGraph.from_edges(5, enumerate(p.images, start=1))
+            assert [q for q in perms if contains_matching(g, q)] == [p]
 
     def test_matching_rejects_clashing_endpoint(self):
-        with pytest.raises(ValueError):
-            Matching(3, frozenset({(1, 2), (1, 3)}))
+        # a permutation matches each row once; its image table refuses a
+        # column matched twice
+        with pytest.raises(ValueError, match="not a bijection"):
+            Permutation([2, 2, 3])
 
 
 class TestContains:
     def test_complete_contains_all(self):
         g = BipartiteGraph.complete(4)
         for p in all_permutations(4):
-            assert contains_matching(g, perm_to_matching(p))
+            assert contains_matching(g, p)
 
     def test_empty_contains_none(self):
         g = BipartiteGraph.empty(3)
-        assert not contains_matching(g, perm_to_matching(Permutation.identity(3)))
+        assert not contains_matching(g, Permutation.identity(3))
 
     def test_diagonal(self):
         g = BipartiteGraph.from_matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        assert contains_matching(g, Matching(3, frozenset({(1, 1), (2, 2), (3, 3)})))
+        assert contains_matching(g, Permutation.identity(3))
 
     def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            contains_matching(BipartiteGraph.complete(3), Matching(4, frozenset()))
+        with pytest.raises(ValueError, match="size mismatch: graph n=3, permutation n=4"):
+            contains_matching(BipartiteGraph.complete(3), Permutation.identity(4))
 
 
 class TestBruteForce:
@@ -209,6 +219,8 @@ class TestGraphRejects:
             (lambda: BipartiteGraph.from_edges(2, [(1, 3)]), r"edge \(1,3\) out of range"),
             (lambda: BipartiteGraph.from_edges(2, [(0, 1)]), r"edge \(0,1\) out of range"),
             (lambda: parse_graph("0\n"), "bad header n=0; must be >= 1"),
+            (lambda: parse_graph("02\n11\n11\n"), r"^bad header line '02'; expected decimal n$"),
+            (lambda: parse_graph("00\n"), r"^bad header line '00'; expected decimal n$"),
         ],
         ids=[
             "init-n0",
@@ -223,6 +235,8 @@ class TestGraphRejects:
             "edges-column",
             "edges-row",
             "parse-n0",
+            "parse-leading-zero",
+            "parse-zeros",
         ],
     )
     def test_rejects(self, build, msg):
@@ -315,7 +329,7 @@ class TestGraphFormat:
         st.integers(1, 3).flatmap(
             lambda n: st.tuples(
                 st.sampled_from(["", " ", "\x1f", "\t"]),
-                st.just(str(n)),
+                st.sampled_from([str(n), "0" + str(n)]),
                 st.lists(st.text("01", min_size=n, max_size=n), min_size=n, max_size=n),
                 st.lists(st.sampled_from(SEPARATORS), min_size=n, max_size=n),
                 st.sampled_from(SEPARATORS + [""]),

@@ -4,24 +4,21 @@ import math
 
 import pytest
 
-from permmatch import (
-    BipartiteGraph,
-    Permutation,
-    Transposition,
+import permmatch.gamma as gamma
+from permmatch.bipartite import BipartiteGraph, contains_matching, random_graph
+from permmatch.gamma import (
+    Cvmp,
+    GammaNode,
     build_gamma,
-    contains_matching,
     edge_requirement,
     enumerate_cvmps,
     export_dot,
-    parse_cycles,
     path_to_matching,
-    perm_to_matching,
     perm_to_path,
-    random_graph,
     surplus_edges,
 )
-from permmatch.gamma import Cvmp, GammaNode
-from relabel import all_permutations, path_to_perm
+from permmatch.perms import Permutation, Transposition, parse_cycles
+from relabel import all_permutations, matching_edges, path_to_perm
 
 
 def figure_path():
@@ -238,14 +235,24 @@ class TestSurplus:
 
 class TestPathMatching:
     def test_figure_matching(self):
-        assert path_to_matching(figure_path()).pairs == {(1, 2), (2, 4), (4, 3), (3, 1)}
+        m = path_to_matching(figure_path())
+        assert m == parse_cycles("(1,2,4,3)", 4)
+        assert matching_edges(m) == {(1, 2), (2, 4), (4, 3), (3, 1)}
 
     def test_identity_matching_is_diagonal(self):
-        assert path_to_matching(identity_path(3)).pairs == {(1, 1), (2, 2), (3, 3)}
+        m = path_to_matching(identity_path(3))
+        assert m == Permutation.identity(3)
+        assert matching_edges(m) == {(1, 1), (2, 2), (3, 3)}
+
+    def test_refuses_a_row_matched_twice(self, monkeypatch):
+        # the figure path's surplus is {(3,2), (3,4), (4,4)}; keeping (4,4)
+        # leaves (4,3) and (4,4) at row 4, which no image table can hold
+        real = gamma.surplus_edges
+        monkeypatch.setattr(gamma, "surplus_edges", lambda path: real(path) - {(4, 4)})
+        with pytest.raises(ValueError, match=r"leaves two edges at row 4$"):
+            path_to_matching(figure_path())
 
     def test_validates_once(self, monkeypatch):
-        import permmatch.gamma as gamma
-
         calls = []
         real = gamma.validate_path
 
@@ -262,7 +269,7 @@ class TestPathMatching:
     def test_equals_perm_matching_exhaustive(self):
         for n in range(2, 6):
             for p in enumerate_cvmps(n):
-                assert path_to_matching(p) == perm_to_matching(path_to_perm(p))
+                assert path_to_matching(p) == path_to_perm(p)
 
 
 class TestEdgeRequirement:

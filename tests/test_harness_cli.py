@@ -15,22 +15,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permmatch import (
+from permmatch.bipartite import (
     BipartiteGraph,
     count_bruteforce,
     count_ryser,
-    count_via_cvmp,
-    edge_requirement,
-    enumerate_cvmps,
-    gamma_stats,
     parse_graph,
     random_graph,
     serialize_graph,
-    sweep,
-    verify,
 )
 from permmatch.cli import main
-from permmatch.gamma import build_gamma, unconstrained_walk_count
+from permmatch.gamma import (
+    build_gamma,
+    edge_requirement,
+    enumerate_cvmps,
+    gamma_stats,
+    unconstrained_walk_count,
+)
+from permmatch.harness import count_via_cvmp, sweep, verify
 from relabel import assert_relabel_invariant, shuffled, square_01
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -567,7 +568,7 @@ class TestCli:
         assert main(["gen", "--n", "-1", "--density", "0.5", "--seed", "0"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: n must be >= 1\n"
+        assert captured.err == "error: gen is guarded at 1 <= n <= 24\n"
 
     def test_gen_negative_seed_exits_2(self, capsys):
         assert main(["gen", "--n", "3", "--density", "0.5", "--seed", "-1"]) == 2
@@ -590,7 +591,7 @@ class TestCli:
         assert main(["sweep", "--n", n, *mode]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: n must be >= 1\n"
+        assert captured.err == "error: sweep is guarded at 1 <= n <= 7\n"
 
     def test_no_command_imports_numpy(self, tmp_path):
         # random graphs come from the package's own PCG64 stream, so no
@@ -675,28 +676,30 @@ class TestCli:
         assert result.returncode == 0, result.stderr
 
     def test_package_exports_in_a_fresh_process(self):
-        # every name the package exported before gamma and perms were
-        # loaded lazily, each bound to its module's own object
-        names = {
-            "bipartite": "BipartiteGraph Matching contains_matching count_bruteforce "
-            "count_ryser parse_graph perm_to_matching random_graph serialize_graph",
-            "gamma": "Cvmp FourCycleWitness GammaGraph GammaNode build_gamma "
-            "edge_requirement enumerate_cvmps export_dot four_cycle gamma_stats "
-            "is_product_realized path_to_matching perm_to_path surplus_edges",
-            "harness": "count_via_cvmp sweep verify",
-            "perms": "Permutation Transposition compose coset_transversals "
-            "parse_cycles sift unsift",
-        }
+        # the package binds modules and __version__, no function or type:
+        # each is imported from its defining module; gamma and perms stay the
+        # entries registered for lazy loading, and reading them from the
+        # package loads neither
         script = "\n".join([
+            "import sys, types",
             "import permmatch",
-            f"names = {names!r}",
-            "for module, listed in names.items():",
-            "    for name in listed.split():",
-            "        exec(f'from permmatch import {name} as got')",
-            "        assert got is getattr(getattr(permmatch, module), name), name",
+            "def public():",
+            "    return [k for k, v in vars(permmatch).items()",
+            "            if not k.startswith('_') and not isinstance(v, types.ModuleType)]",
+            "assert public() == [], public()",
+            "for name in ('gamma', 'perms'):",
+            "    module = getattr(permmatch, name)",
+            "    assert module is sys.modules['permmatch.' + name], name",
+            "    assert type(module) is not types.ModuleType, f'{name} loaded'",
             "assert permmatch.__version__ == '0.1.0'",
+            "import permmatch.cli",
+            "assert public() == [], public()",
+            "# no module's function or type is served by the package either;",
             "# hasattr lets only AttributeError through as False",
-            "assert not hasattr(permmatch, 'no_such_name')",
+            "for m in ('bipartite', 'gamma', 'harness', 'perms'):",
+            "    for name, v in vars(getattr(permmatch, m)).items():",
+            "        if not name.startswith('_') and not isinstance(v, types.ModuleType):",
+            "            assert not hasattr(permmatch, name), (m, name)",
         ])
         result = run_python(["-c", script])
         assert result.returncode == 0, result.stderr

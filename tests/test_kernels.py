@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permmatch import BipartiteGraph, count_ryser, kernels
-from permmatch.bipartite import _uniform_stream
+from permmatch import kernels
+from permmatch.bipartite import BipartiteGraph, _uniform_stream, count_ryser
 from relabel import assert_relabel_invariant, shuffled, square_01
 
 

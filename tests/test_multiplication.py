@@ -4,20 +4,16 @@ import random
 
 import pytest
 
-from permmatch import (
-    BipartiteGraph,
-    Permutation,
-    Transposition,
-    compose,
-    contains_matching,
+from permmatch.bipartite import BipartiteGraph, contains_matching
+from permmatch.gamma import (
+    _level_node,
     enumerate_cvmps,
     four_cycle,
     is_product_realized,
-    parse_cycles,
-    perm_to_matching,
+    validate_path,
 )
-from permmatch.gamma import _level_node, validate_path
-from relabel import all_permutations, fixes
+from permmatch.perms import Permutation, Transposition, compose, parse_cycles
+from relabel import all_permutations, fixes, matching_edges
 
 
 def transpositions(n):
@@ -45,9 +41,7 @@ class TestFourCycle:
         psi = Transposition(2, 3)
         w = four_cycle(p, psi)
         product = compose(p, psi.to_perm(5))
-        assert perm_to_matching(product).pairs == (
-            perm_to_matching(p).pairs - w.edges_before
-        ) | w.edges_after
+        assert matching_edges(product) == (matching_edges(p) - w.edges_before) | w.edges_after
 
     def test_rejects_identity_multiplier(self):
         with pytest.raises(ValueError):
@@ -61,8 +55,8 @@ class TestFourCycle:
         for p in all_permutations(5):
             for psi in transpositions(5):
                 w = four_cycle(p, psi)
-                before = perm_to_matching(p).pairs
-                after = perm_to_matching(compose(p, psi.to_perm(5))).pairs
+                before = matching_edges(p)
+                after = matching_edges(compose(p, psi.to_perm(5)))
                 assert after == (before - w.edges_before) | w.edges_after, (p, psi)
 
 
@@ -95,7 +89,7 @@ class TestIsProductRealized:
         for _ in range(500):
             n = rng.randint(4, 7)
             p = Permutation(rng.sample(range(1, n + 1), n))
-            edges = set(perm_to_matching(p).pairs)
+            edges = set(matching_edges(p))
             for v in range(1, n + 1):
                 for w in range(1, n + 1):
                     if rng.random() < 0.4:
@@ -103,7 +97,7 @@ class TestIsProductRealized:
             g = BipartiteGraph.from_edges(n, edges)
             i = rng.randint(1, n - 1)
             psi = Transposition(i, rng.randint(i + 1, n))
-            direct = contains_matching(g, perm_to_matching(compose(p, psi.to_perm(n))))
+            direct = contains_matching(g, compose(p, psi.to_perm(n)))
             assert is_product_realized(g, p, psi) == direct
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permmatch import (
+from permmatch.perms import (
     Permutation,
     Transposition,
     compose,

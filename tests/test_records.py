@@ -4,25 +4,16 @@ equality, repr and validation."""
 import copy
 import json
 import pickle
+import re
 
 import pytest
 
-from permmatch import (
-    BipartiteGraph,
-    Cvmp,
-    GammaNode,
-    Matching,
-    Transposition,
-    build_gamma,
-    four_cycle,
-    gamma_stats,
-    parse_cycles,
-    perm_to_path,
-    sweep,
-    verify,
-)
 from permmatch._record import Record
+from permmatch.bipartite import BipartiteGraph
 from permmatch.cli import main
+from permmatch.gamma import Cvmp, GammaNode, build_gamma, four_cycle, gamma_stats, perm_to_path
+from permmatch.harness import sweep, verify
+from permmatch.perms import Permutation, Transposition, parse_cycles
 
 
 def _fields(record):
@@ -34,7 +25,6 @@ EXAMPLES = {
     "BipartiteGraph": lambda: BipartiteGraph.complete(3),
     "Permutation": lambda: parse_cycles("(1,2,3)", 3),
     "Transposition": lambda: Transposition(1, 2),
-    "Matching": lambda: Matching(2, frozenset({(1, 2), (2, 1)})),
     "FourCycleWitness": lambda: four_cycle(
         parse_cycles("(1,2,3)", 3), Transposition(1, 3)
     ),
@@ -127,10 +117,10 @@ class TestExamples:
 
     def test_keyword_and_positional_mix(self):
         assert GammaNode(1, t=3, k=2) == GammaNode(1, 2, 3)
-        assert Matching(pairs={(1, 1)}, n=1) == Matching(1, frozenset({(1, 1)}))
+        assert Transposition(k=3, i=1) == Transposition(1, k=3) == Transposition(1, 3)
 
     def test_normalized_fields(self):
-        assert Matching(2, [(1, 2), (2, 1)]).pairs == frozenset({(1, 2), (2, 1)})
+        assert Permutation([2, 1]).images == (2, 1)
         nodes = [GammaNode(1, 1, 1), GammaNode(2, 2, 2)]
         assert Cvmp(nodes).nodes == tuple(nodes)
 
@@ -156,12 +146,11 @@ class TestValidation:
             Cvmp((GammaNode(1, 2, 2),))
 
     def test_matching_shared_endpoint(self):
-        with pytest.raises(ValueError, match="an endpoint is used by two edges"):
-            Matching(2, frozenset({(1, 1), (1, 2)}))
-        with pytest.raises(ValueError, match="an endpoint is used by two edges"):
-            Matching(2, frozenset({(1, 2), (2, 2)}))
-        with pytest.raises(ValueError, match=r"edge \(3,1\) out of range 1..2"):
-            Matching(2, frozenset({(3, 1)}))
+        # a perfect matching is its permutation: a row holds one image, and
+        # the table refuses a column used twice or out of range
+        for images in ((1, 1), (3, 1)):
+            with pytest.raises(ValueError, match=re.escape(f"not a bijection of 1..2: {images}")):
+                Permutation(images)
 
 
 class TestDictKeyOrder:
