@@ -7,12 +7,11 @@ LIMITS = {
     "sweep": 7,  # every instance runs all three counters
     "exhaustive sweep": 4,  # 2^(n*n) graphs
     "build": 12,  # S edges: 6,801 at n = 10, 20,449 at n = 12
-    "enumeration": 7,  # yields all n! paths
+    "enumeration": 7,  # yields all n! paths; also caps gamma --stats' valid_paths
     "DOT export": 8,  # 2,244 lines at n = 8
     "gen": 24,  # the largest graph that some counter accepts
     "factorize": 9,  # past 9 a node label such as (1010,1010) is ambiguous
 }
-COUNTERS = ("cvmp", "brute force", "Ryser")
 
 
 def guard(stage: str, n: int) -> None:

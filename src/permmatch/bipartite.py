@@ -203,20 +203,17 @@ def parse_graph(text: str) -> BipartiteGraph:
     text = text.replace("\r\n", "\n")
     lines = (text[:-1] if text.endswith("\n") else text).split("\n")
     header = lines[0]
+    digits = len(str(sys.maxsize))  # a longer n fits no row, so it is never read or echoed
+    if len(header) > digits:
+        raise ValueError(
+            f"bad header line of {len(header)} characters; n has at most {digits} digits"
+        )
     # serialize_graph writes no leading zero, so none is accepted
     if not (header.isascii() and header.isdigit()) or (header[0] == "0" and header != "0"):
         raise ValueError(f"bad header line {header!r}; expected decimal n")
-    try:
-        n = int(header)
-    except ValueError:  # past the interpreter's digit limit
-        limit = sys.get_int_max_str_digits()
-        raise ValueError(f"bad header line of {len(header)} digits; n has at most {limit}") from None
+    n = int(header)
     if n < 1:
         raise ValueError(f"bad header n={n}; must be >= 1")
-    if n > sys.maxsize:
-        # no str has more characters, so no row can be n long; the message
-        # names n's digits, which are up to the whole input, not n itself
-        raise ValueError(f"bad header n of {len(header)} digits; no row can have n characters")
     body = lines[1:]
     rows = []
     # rows before the count, so that a row holding a stray separator is

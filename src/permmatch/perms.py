@@ -149,6 +149,7 @@ def parse_cycles(text: str, n: int) -> Permutation:
     if n < 1:
         raise ValueError("n must be >= 1")
     images = list(range(n + 1))  # 1-based; slot 0 unused
+    digits = len(str(sys.maxsize))  # no point in 1..n has more
     seen = set()
     pos = 0
     length = len(text)
@@ -173,13 +174,11 @@ def parse_cycles(text: str, n: int) -> Permutation:
                 pos += 1
             if pos == start:
                 raise ValueError(f"expected a point at position {start}")
-            try:
-                point = int(text[start:pos])
-            except ValueError:  # past the interpreter's digit limit
-                limit = sys.get_int_max_str_digits()
+            if pos - start > digits:  # named by its length, never echoed or read by int()
                 raise ValueError(
-                    f"point of {pos - start} digits, more than {limit}, at position {start}"
-                ) from None
+                    f"point of {pos - start} digits out of range 1..{n} at position {start}"
+                )
+            point = int(text[start:pos])
             if not (1 <= point <= n):
                 raise ValueError(f"point {point} out of range 1..{n} at position {start}")
             if point in seen:

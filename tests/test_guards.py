@@ -2,8 +2,8 @@
 
 import pytest
 
-from permmatch._guards import COUNTERS, LIMITS, guard
-from permmatch.harness import sweep
+from permmatch._guards import LIMITS, guard
+from permmatch.harness import COUNTERS, sweep
 
 
 def test_limits_table():

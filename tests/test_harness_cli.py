@@ -400,9 +400,9 @@ class TestCli:
         path = self.write_graph(tmp_path, "1" * 5000 + "\n1\n")
         runs = [
             (["factorize", "--n", "4", "(1," + "2" * 5000 + ")"],
-             "error: point of 5000 digits, more than 4300, at position 3\n"),
+             "error: point of 5000 digits out of range 1..4 at position 3\n"),
             (["verify", path],
-             f"error: {path}: bad header line of 5000 digits; n has at most 4300\n"),
+             f"error: {path}: bad header line of 5000 characters; n has at most 19 digits\n"),
         ]
         for argv, err in runs:
             assert main(argv) == 2
@@ -413,9 +413,9 @@ class TestCli:
         path = self.write_graph(tmp_path, "1" * 1000 + "\n1\n")
         runs = [
             (["factorize", "--n", "4", "(1," + "2" * 1000 + ")"],
-             "error: point of 1000 digits, more than 640, at position 3\n"),
+             "error: point of 1000 digits out of range 1..4 at position 3\n"),
             (["verify", path],
-             f"error: {path}: bad header line of 1000 digits; n has at most 640\n"),
+             f"error: {path}: bad header line of 1000 characters; n has at most 19 digits\n"),
         ]
         for argv, err in runs:
             result = run_python(["-X", "int_max_str_digits=640", "-m", "permmatch", *argv])
@@ -424,7 +424,7 @@ class TestCli:
     def test_giant_header_exits_2_with_a_short_message(self, tmp_path):
         # a header of up to the digit limit used to come back whole on
         # stderr; messages at real sizes keep their bytes
-        giant = "error: {}: bad header n of 4300 digits; no row can have n characters\n"
+        giant = "error: {}: bad header line of 4300 characters; n has at most 19 digits\n"
         cases = [
             ("1" * 4300 + "\n1\n", giant),
             ("1" * 4300 + "\n", giant),
@@ -436,6 +436,27 @@ class TestCli:
             assert (result.returncode, result.stdout) == (2, "")
             assert result.stderr == err.format(path)
             assert len(result.stderr.encode()) < 200
+
+    def test_long_numbers_refused_alike_at_any_digit_limit(self, tmp_path):
+        # a header line or a point longer than sys.maxsize's 19 digits is
+        # refused by its length before int() reads it: the interpreter's digit
+        # limit, here the default and the least CPython accepts, changes no
+        # byte, and nothing long is echoed
+        headers = ["x" * 100_000, "1" * 4300, "1" * 5000, str(2**63)]
+        points = ["2" * 1000, "0" * 24 + "2"]
+        runs = [["factorize", "--n", "4", f"(1,{p})"] for p in points]
+        for i, header in enumerate(headers):
+            path = tmp_path / f"h{i}.txt"
+            path.write_text(header + "\n1\n")
+            runs.append(["verify", str(path)])
+        for argv in runs:
+            default, lowered = (
+                run_python([*flags, "-m", "permmatch", *argv])
+                for flags in ([], ["-X", "int_max_str_digits=640"])
+            )
+            assert (default.returncode, default.stdout) == (2, ""), argv[:3]
+            assert (lowered.returncode, lowered.stdout, lowered.stderr) == (2, "", default.stderr)
+            assert len(default.stderr.encode()) < 200, default.stderr
 
     def test_gen_density_one(self, capsys):
         assert main(["gen", "--n", "3", "--density", "1", "--seed", "0"]) == 0
@@ -480,6 +501,25 @@ class TestCli:
         path = self.write_graph(tmp_path, serialize_graph(BipartiteGraph.complete(n)))
         assert main(["verify", path]) == 2
         assert "only one counting method is in guard" in capsys.readouterr().err
+
+    def test_verify_runs_every_counter_or_none(self, monkeypatch, tmp_path, capsys):
+        # all three counters at n <= 9; past that, fewer than two are in
+        # guard and verify exits 2 before any of them runs
+        import permmatch.harness as harness
+
+        names = ["count_via_cvmp", "count_bruteforce", "count_ryser"]
+        calls = []
+        for name in names:
+            monkeypatch.setattr(harness, name, lambda g, name=name: calls.append(name) or 1)
+        for n in range(1, 26):
+            calls.clear()
+            path = self.write_graph(tmp_path, serialize_graph(BipartiteGraph.complete(n)))
+            status = main(["verify", path])
+            out = capsys.readouterr().out
+            if n <= 9:
+                assert (status, calls) == (0, names), n
+            else:
+                assert (status, out, calls) == (2, "", []), n
 
     def test_gamma_stats_past_enumeration_guard(self, capsys):
         assert main(["gamma", "--n", "8", "--stats"]) == 0
