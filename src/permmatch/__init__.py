@@ -7,9 +7,10 @@ at small n.  The package binds only its modules and `__version__`: each
 name is imported from the module defining it (`from permmatch.gamma import
 build_gamma`).
 
-`gamma` and `perms` hold the paper's construction, which no counting
-command runs, so they are registered in `sys.modules` at import but
-compiled only on first attribute access (`importlib.util.LazyLoader`).
+`gamma` and `perms` hold the paper's construction and `harness` serves only
+`verify`, `sweep` and `count --method cvmp`, so the three are registered in
+`sys.modules` at import but compiled only on first attribute access
+(`importlib.util.LazyLoader`).
 Registration, not a function-local import, keeps every module a tracer
 reads from `sys.modules` after `import permmatch.cli` in place.
 """
@@ -27,9 +28,10 @@ def _register_lazy(name: str):
     return module
 
 
-# Registered before any submodule is imported: a module importing either one
+# Registered before any submodule is imported: a module importing one of them
 # then gets this entry, and registering after would make a second copy of it.
 perms = _register_lazy("perms")
 gamma = _register_lazy("gamma")
+harness = _register_lazy("harness")
 
 __version__ = "0.1.0"

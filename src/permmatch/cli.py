@@ -9,13 +9,12 @@ Reports go to stdout as JSON with fixed key order; diagnostics to stderr.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
 
-# gamma and perms are read through their modules: binding one of their
-# names here would load them at import, and only gamma and factorize use them
+# gamma, harness and perms are compiled on first use (see __init__), so they
+# are read through their modules: binding a name here would load its module
 from . import bipartite, gamma, harness, perms
 from ._guards import guard
 
@@ -45,29 +44,33 @@ def _print_json(obj) -> None:
 
 
 def _cmd_verify(args) -> int:
-    g = _read_graph(args.file)
+    g = _read_graph(args["file"])
     report = harness.verify(g)
     _print_json(report)
     return 0 if report["agreement"] else 1
 
 
 def _cmd_sweep(args) -> int:
-    report = harness.sweep(args.n, trials=args.trials, seed=args.seed)
+    if args["exhaustive"] == (args["trials"] is not None):
+        raise ValueError("sweep takes exactly one of --exhaustive and --trials")
+    report = harness.sweep(args["n"], trials=args["trials"], seed=args["seed"])
     _print_json(report)
     return 0 if report["agreement"] else 1
 
 
 def _cmd_gamma(args) -> int:
-    if args.dot:
-        print(gamma.export_dot(args.n), end="")
+    if args["dot"] == args["stats"]:
+        raise ValueError("gamma takes exactly one of --dot and --stats")
+    if args["dot"]:
+        print(gamma.export_dot(args["n"]), end="")
     else:
-        _print_json(gamma.gamma_stats(args.n))
+        _print_json(gamma.gamma_stats(args["n"]))
     return 0
 
 
 def _cmd_factorize(args) -> int:
-    guard("factorize", args.n)
-    p = perms.parse_cycles(args.cycles, args.n)
+    guard("factorize", args["n"])
+    p = perms.parse_cycles(args["cycles"], args["n"])
     path = gamma.perm_to_path(p)
     print("*".join(str(x.psi) for x in reversed(path.nodes)))
     print(str(path))
@@ -75,72 +78,99 @@ def _cmd_factorize(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    g = bipartite.random_graph(args.n, args.density, args.seed)
+    g = bipartite.random_graph(args["n"], args["density"], args["seed"])
     print(bipartite.serialize_graph(g), end="")
     return 0
 
 
 def _cmd_count(args) -> int:
-    g = _read_graph(args.file)
-    if args.method == "cvmp":
+    method = args["method"]
+    if method not in ("cvmp", "ryser", "brute"):
+        raise ValueError(f"count --method takes cvmp, ryser or brute, not {method!r}")
+    g = _read_graph(args["file"])
+    if method == "cvmp":
         print(harness.count_via_cvmp(g))
-    elif args.method == "ryser":
+    elif method == "ryser":
         print(bipartite.count_ryser(g))
     else:
         print(bipartite.count_bruteforce(g))
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="permmatch",
-        description="Perfect-matching counting workbench with cross-checking oracles",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# command -> (handler, positionals, options, required options); an option
+# maps to the converter of its value, None for a flag.  The handlers check
+# choices and exclusive options.
+_COMMANDS = {
+    "verify": (_cmd_verify, ("file",), {}, ()),
+    "sweep": (_cmd_sweep, (), {"--n": int, "--exhaustive": None, "--trials": int,
+                               "--seed": int}, ("--n",)),
+    "gamma": (_cmd_gamma, (), {"--n": int, "--dot": None, "--stats": None}, ("--n",)),
+    "factorize": (_cmd_factorize, ("cycles",), {"--n": int}, ("--n",)),
+    "gen": (_cmd_gen, (), {"--n": int, "--density": float, "--seed": int},
+            ("--n", "--density", "--seed")),
+    "count": (_cmd_count, ("file",), {"--method": str}, ("--method",)),
+}
 
-    p = sub.add_parser("verify", help="count a graph file by every method and compare")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_verify)
+_USAGE = """\
+usage: permmatch COMMAND [OPTIONS], a perfect-matching counting workbench
+  verify FILE                         count a graph file by every method and compare
+  sweep --n N (--exhaustive | --trials T --seed S)  cross-check the counters
+  gamma --n N (--dot | --stats)       export or summarize the generating graph
+  factorize --n N CYCLES              factorization and path of a permutation
+  gen --n N --density P --seed S      emit a seeded random graph file
+  count --method cvmp|ryser|brute FILE  count perfect matchings by one method
+Options are never abbreviated: write `--opt value` or `--opt=value`, before
+or after the positionals; `--` ends the options.
+"""
 
-    p = sub.add_parser("sweep", help="cross-check the counters over many instances")
-    p.add_argument("--n", type=int, required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--exhaustive", action="store_true")
-    group.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("gamma", help="export or summarize the generating graph")
-    p.add_argument("--n", type=int, required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--dot", action="store_true")
-    group.add_argument("--stats", action="store_true")
-    p.set_defaults(func=_cmd_gamma)
-
-    p = sub.add_parser("factorize", help="canonic factorization and path of a permutation")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("cycles")
-    p.set_defaults(func=_cmd_factorize)
-
-    p = sub.add_parser("gen", help="emit a seeded random graph file")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--density", type=float, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser("count", help="count perfect matchings by one method")
-    p.add_argument("--method", choices=("cvmp", "ryser", "brute"), required=True)
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_count)
-
-    return parser
+def _parse(argv: list):
+    """(handler, values) for argv, or ValueError naming the command and option;
+    values maps each option without its dashes (None if absent) and positional."""
+    command = argv[0] if argv else ""
+    if command not in _COMMANDS:
+        raise ValueError(f"expected a command, one of {', '.join(_COMMANDS)}; got {command!r}")
+    handler, positionals, options, required = _COMMANDS[command]
+    values = {opt[2:]: None if convert else False for opt, convert in options.items()}
+    given, rest = [], iter(argv[1:])
+    for arg in rest:
+        opt, eq, value = arg.partition("=")
+        if arg == "--":
+            given += rest
+        elif arg == "-" or not arg.startswith("-"):
+            given.append(arg)
+        elif opt not in options:
+            raise ValueError(f"{command}: unknown option {opt!r}")
+        elif options[opt] is None:
+            if eq:
+                raise ValueError(f"{command}: {opt} takes no value")
+            values[opt[2:]] = True
+        elif not eq and (value := next(rest, None)) is None:
+            raise ValueError(f"{command}: {opt} needs a value")
+        else:
+            try:
+                values[opt[2:]] = options[opt](value)
+            except ValueError:
+                kind = options[opt].__name__
+                raise ValueError(f"{command}: {opt} takes {kind} values, not {value!r}") from None
+    missing = [opt for opt in required if values[opt[2:]] is None]
+    missing += [name.upper() for name in positionals[len(given):]]
+    if missing:
+        raise ValueError(f"{command}: missing {' '.join(missing)}")
+    if len(given) > len(positionals):
+        raise ValueError(f"{command}: unexpected argument {given[len(positionals)]!r}")
+    return handler, values | dict(zip(positionals, given))
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    head = argv[: argv.index("--")] if "--" in argv else argv
+    if "-h" in head or "--help" in head:
+        print(_USAGE, end="")
+        return 0
     try:
-        return args.func(args)
+        handler, args = _parse(argv)
+        return handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

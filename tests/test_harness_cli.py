@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permmatch import cli
 from permmatch.bipartite import (
     BipartiteGraph,
     count_bruteforce,
@@ -49,6 +50,10 @@ def run_python(args, stdout=subprocess.PIPE):
 def blank_elapsed(report):
     """A verify report with its timing values, the only varying bytes, blanked."""
     return re.sub(r'"elapsed": \{[^}]*\}', '"elapsed": {}', report)
+
+
+# Where a path to a graph file goes in an argv.
+FILE = object()
 
 
 @pytest.fixture
@@ -584,10 +589,11 @@ class TestCli:
         assert captured.out == ""
         assert "error: random sweeps need trials >= 1" in captured.err
 
-    def test_usage_error_exits_2(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--n", "3"])
-        assert exc.value.code == 2
+    def test_usage_error_exits_2(self, capsys):
+        assert main(["sweep", "--n", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: sweep takes exactly one of --exhaustive and --trials\n"
 
     def test_random_sweep_without_seed_exits_2(self, capsys):
         assert main(["sweep", "--n", "3", "--trials", "5"]) == 2
@@ -678,15 +684,28 @@ class TestCli:
         assert result.returncode == 0, result.stderr
 
     @pytest.mark.parametrize(
-        "user", [["gamma", "--n", "3", "--stats"], ["factorize", "--n", "4", "(1,2,4,3)"]],
-        ids=["gamma-stats", "factorize"],
+        "user, loads",
+        [
+            (["verify", FILE], ["harness"]),
+            (["sweep", "--n", "2", "--exhaustive"], ["harness"]),
+            (["sweep", "--n", "4", "--trials", "3", "--seed", "1"], ["harness"]),
+            (["count", "--method", "cvmp", FILE], ["harness"]),
+            (["gamma", "--n", "3", "--stats"], ["gamma", "perms", "harness"]),
+            (["factorize", "--n", "4", "(1,2,4,3)"], ["gamma", "perms", "harness"]),
+        ],
+        ids=["verify", "sweep-exhaustive", "sweep-random", "count-cvmp", "gamma-stats",
+             "factorize"],
     )
-    def test_gamma_and_perms_registered_but_loaded_on_first_use(self, user, tmp_path):
+    def test_gamma_and_perms_registered_but_loaded_on_first_use(self, user, loads, tmp_path):
         # a tracer wrapping every measured module reads all six from
         # sys.modules right after `import permmatch.cli`, yet no counting
-        # command runs gamma or perms, so they are compiled on first use;
-        # type() reads no attribute, so checking cannot load them
+        # command runs gamma or perms, and count by Ryser or brute force and
+        # gen never run harness, so the three are compiled on first use;
+        # type() reads no attribute, so checking cannot load them.  The
+        # command line is parsed without argparse, and so without the
+        # gettext and locale modules it imports.
         path = self.write_graph(tmp_path, "4\n1101\n0111\n1011\n1110\n")
+        user = [path if a is FILE else a for a in user]
         script = "\n".join([
             "import contextlib, io, sys, types",
             "import permmatch.cli",
@@ -694,23 +713,25 @@ class TestCli:
             "measured = ('cli', 'bipartite', 'perms', 'gamma', 'harness', 'kernels')",
             "missing = [m for m in measured if 'permmatch.' + m not in sys.modules]",
             "assert not missing, f'{missing} not registered'",
-            "lazy = ('permmatch.gamma', 'permmatch.perms')",
+            "lazy = ('gamma', 'perms', 'harness')",
             "def loaded():",
-            "    return [m for m in lazy if type(sys.modules[m]) is types.ModuleType]",
+            "    return [m for m in lazy if type(sys.modules['permmatch.' + m]) is types.ModuleType]",
             "assert not loaded(), f'{loaded()} loaded by the import'",
             f"path = {path!r}",
-            "runs = [['verify', path], ['gen', '--n', '6', '--density', '0.5', '--seed', '7'],",
-            "        ['sweep', '--n', '2', '--exhaustive'],",
-            "        ['sweep', '--n', '4', '--trials', '3', '--seed', '1']]",
-            "runs += [['count', '--method', m, path] for m in ('cvmp', 'brute', 'ryser')]",
+            "runs = [['count', '--method', 'ryser', path], ['count', '--method', 'brute', path],",
+            "        ['gen', '--n', '6', '--density', '0.5', '--seed', '7'], ['--help']]",
             f"runs.append({user!r})",
             "for argv in runs:",
             "    with contextlib.redirect_stdout(io.StringIO()):",
             "        assert main(argv) == 0, argv",
             "    if argv is not runs[-1]:",
             "        assert not loaded(), f'{loaded()} loaded by {argv}'",
-            "assert loaded() == list(lazy), f'only {loaded()} loaded by {runs[-1]}'",
-            "assert 'build_gamma' in vars(sys.modules['permmatch.gamma'])",
+            f"assert sorted(loaded()) == {sorted(loads)!r}, f'{{loaded()}} loaded by {{runs[-1]}}'",
+            "if 'gamma' in loaded():",
+            "    assert 'build_gamma' in vars(sys.modules['permmatch.gamma'])",
+            "assert 'verify' in vars(sys.modules['permmatch.harness'])",
+            "imported = {'argparse', 'gettext', 'locale'} & set(sys.modules)",
+            "assert not imported, f'{sorted(imported)} imported'",
         ])
         result = run_python(["-c", script])
         assert result.returncode == 0, result.stderr
@@ -837,8 +858,140 @@ class TestCli:
         assert report["agreement"] is False and len(report["mismatches"]) == 8
 
 
-# Where a path to a graph file goes in a drawn argv.
-FILE = object()
+# One valid, cheap argv for each command and mode; FILE is a graph file.
+VALID = [
+    ["verify", FILE],
+    ["sweep", "--n", "2", "--exhaustive"],
+    ["sweep", "--n", "3", "--trials", "2", "--seed", "1"],
+    ["gamma", "--n", "3", "--stats"],
+    ["gamma", "--n", "3", "--dot"],
+    ["factorize", "--n", "4", "(1,2,4,3)"],
+    ["gen", "--n", "4", "--density", "0.5", "--seed", "7"],
+    *(["count", "--method", m, FILE] for m in ("cvmp", "ryser", "brute")),
+]
+VALID_IDS = [" ".join("FILE" if a is FILE else a for a in argv) for argv in VALID]
+
+
+class TestCliParse:
+    """The command table's grammar, one case per command and option."""
+
+    @pytest.fixture
+    def run(self, tmp_path, capsys):
+        f = tmp_path / "g.txt"
+        f.write_text("4\n1101\n0111\n1011\n1110\n")
+
+        def run(argv):
+            status = main([str(f) if a is FILE else a for a in argv])
+            out, err = capsys.readouterr()
+            return status, blank_elapsed(out), err
+
+        return run
+
+    def assert_usage_error(self, result, *names):
+        status, out, err = result
+        assert (status, out) == (2, ""), result
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        for name in names:
+            assert name in err, (name, err)
+
+    def test_valid_argvs_cover_the_table(self):
+        assert {argv[0] for argv in VALID} == set(cli._COMMANDS)
+
+    @pytest.mark.parametrize("argv", VALID, ids=VALID_IDS)
+    def test_each_required_option_missing_exits_2(self, argv, run):
+        handler, positionals, options, required = cli._COMMANDS[argv[0]]
+        assert run(argv)[0] == 0
+        for opt in required:
+            i = argv.index(opt)
+            dropped = argv[:i] + argv[i + 1 + (options[opt] is not None):]
+            self.assert_usage_error(run(dropped), argv[0], opt)
+
+    @pytest.mark.parametrize("argv", VALID, ids=VALID_IDS)
+    def test_unknown_abbreviated_and_valued_flag_options_exit_2(self, argv, run):
+        options = cli._COMMANDS[argv[0]][2]
+        self.assert_usage_error(run(argv + ["--bogus"]), argv[0], "--bogus")
+        self.assert_usage_error(run(argv + ["-x"]), argv[0], "-x")
+        for opt, convert in options.items():
+            if opt not in argv:
+                continue
+            i = argv.index(opt)
+            if len(opt) > 4:
+                # a unique prefix, which argparse would have completed
+                self.assert_usage_error(run(argv[:i] + [opt[:4]] + argv[i + 1:]), opt[:4])
+            if convert is None:
+                self.assert_usage_error(run(argv[:i] + [opt + "=1"] + argv[i + 1:]), opt)
+
+    @pytest.mark.parametrize("argv", VALID, ids=VALID_IDS)
+    def test_spellings_of_one_argv_print_the_same(self, argv, run):
+        options = cli._COMMANDS[argv[0]][2]
+        expected = run(argv)
+        assert expected[0] == 0 and expected[1], expected
+        joined, valued, positionals, i = [argv[0]], [argv[0]], [], 1
+        while i < len(argv):
+            if argv[i] in options and options[argv[i]] is not None:
+                joined.append(argv[i] + "=" + argv[i + 1])
+                valued += argv[i:i + 2]
+                i += 2
+            elif argv[i] in options:
+                joined.append(argv[i])
+                valued.append(argv[i])
+                i += 1
+            else:
+                joined.append(argv[i])
+                positionals.append(argv[i])
+                i += 1
+        # --opt=value for --opt value; options after the positionals, then
+        # before them; a repeated option, whose last value wins
+        assert run(joined) == expected
+        assert run([argv[0], *positionals, *valued[1:]]) == expected
+        assert run([argv[0], *valued[1:], *positionals]) == expected
+        if "--n" in argv:
+            assert run([argv[0], "--n", "9", *argv[1:]]) == expected
+
+    @pytest.mark.parametrize("command", ["verify", "count"])
+    def test_double_dash_reads_a_file_named_like_an_option(
+        self, command, tmp_path, monkeypatch, run
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "-g.txt").write_text("3\n111\n011\n001\n")
+        head = [command] + ["--method", "ryser"] * (command == "count")
+        self.assert_usage_error(run(head + ["-g.txt"]), "-g.txt")
+        status, out, err = run(head + ["--", "-g.txt"])
+        assert (status, err) == (0, ""), err
+        assert out == run(head + [str(tmp_path / "-g.txt")])[1]
+        assert ("1" if command == "count" else '"count_ryser": 1,') in out
+
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (["sweep", "--n", "2"], ["sweep", "--exhaustive", "--trials"]),
+            (["sweep", "--n", "2", "--exhaustive", "--trials", "2"], ["--exhaustive", "--trials"]),
+            (["gamma", "--n", "3"], ["gamma", "--dot", "--stats"]),
+            (["gamma", "--n", "3", "--dot", "--stats"], ["--dot", "--stats"]),
+            (["count", "--method", "exact", "/nonexistent/g.txt"], ["count", "--method", "exact"]),
+            (["count", "--method", "ryser"], ["count", "FILE"]),
+            (["verify", FILE, FILE], ["verify"]),
+            (["gen", "--n", "4", "--density", "0.5", "--seed"], ["gen", "--seed"]),
+            (["gen", "--n", "4", "--density", "x", "--seed", "1"], ["gen", "--density", "'x'"]),
+            ([], ["command", "verify", "count"]),
+            (["--n", "3"], ["command"]),
+            (["bogus"], ["'bogus'"]),
+        ],
+    )
+    def test_handler_and_shape_errors_exit_2(self, argv, names, run):
+        self.assert_usage_error(run(argv), *names)
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_anywhere_prints_the_usage(self, flag, run):
+        status, usage, err = run([flag])
+        assert (status, err) == (0, "")
+        for command in cli._COMMANDS:
+            assert re.search(rf"^  {command} ", usage, re.M), command
+        for argv in [[command, flag] for command in cli._COMMANDS] + [VALID[-1] + [flag]]:
+            assert run(argv) == (0, usage, ""), argv
+        assert run([flag, "bogus"]) == (0, usage, "")
+
+
 # Values of --n that are not decimal ints, and "٣", which int() reads as 3.
 BAD_N = ["x", "", "1.5", "\u0663"]
 
@@ -904,14 +1057,9 @@ class TestCliGrammar:
                     fh.write(data)
             argv = [path if a is FILE else a for a in argv]
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    status = main(argv)
-                except SystemExit as exc:
-                    # argparse's usage error
-                    assert exc.code == 2, argv
-                    status = None
+                status = main(argv)
         assert "Traceback" not in err.getvalue()
-        assert status in (None, 0, 1, 2), argv
+        assert status in (0, 1, 2), argv
         if status == 2:
             assert out.getvalue() == "", argv
             assert err.getvalue().startswith("error: "), argv
