@@ -1,4 +1,4 @@
-"""Every n limit of the workbench and the one refusal that enforces them."""
+"""Every n limit of the workbench, its counting methods and the one refusal."""
 
 LIMITS = {
     "cvmp": 9,  # the pruned walk has n! leaves on K_n
@@ -9,14 +9,24 @@ LIMITS = {
     "build": 12,  # S edges: 6,801 at n = 10, 20,449 at n = 12
     "enumeration": 7,  # yields all n! paths; also caps gamma --stats' valid_paths
     "DOT export": 8,  # 2,244 lines at n = 8
-    "gen": 24,  # the largest graph that some counter accepts
     "factorize": 9,  # past 9 a node label such as (1010,1010) is ambiguous
 }
+# `count --method` name -> (guard stage, report name, module, counter), in the
+# order verify runs them.  Each counter is looked up on permmatch.<module> when
+# it runs: harness compiles only for cvmp, and a rebinding there is what runs.
+METHODS = {
+    "cvmp": ("cvmp", "cvmp", "harness", "count_via_cvmp"),
+    "brute": ("brute force", "bruteforce", "bipartite", "count_bruteforce"),
+    "ryser": ("Ryser", "ryser", "bipartite", "count_ryser"),
+}
+LIMITS["gen"] = max(LIMITS[stage] for stage, *_ in METHODS.values())  # some counter accepts it
 
 
 def guard(stage: str, n: int) -> None:
-    """Raise ValueError, naming the limit, unless 1 <= n <= LIMITS[stage]."""
+    """Raise ValueError, naming the limit, unless 1 <= n <= LIMITS[stage]; a
+    counting stage's message names another method whose guard admits n."""
     if not 1 <= n <= LIMITS[stage]:
-        ryser = stage in ("cvmp", "brute force") and n <= LIMITS["Ryser"]
-        hint = "; use `count --method ryser`" if ryser else ""
+        counting = {s: m for m, (s, *_) in METHODS.items()}
+        admits = [m for s, m in counting.items() if 1 <= n <= LIMITS[s]]
+        hint = f"; use `count --method {admits[0]}`" if stage in counting and admits else ""
         raise ValueError(f"{stage} is guarded at 1 <= n <= {LIMITS[stage]}{hint}")

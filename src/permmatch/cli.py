@@ -3,7 +3,7 @@
 Exit status contract: 0 = all counts agree, 1 = counting mismatch found,
 2 = usage or parse error, 141 = stdout was closed before all output was
 written.  `verify` exits 2 before counting anything when fewer than two
-of its methods are in guard (`_guards.LIMITS`): one count compares nothing.
+of its methods are in guard (`_guards.METHODS`): one count compares nothing.
 Reports go to stdout as JSON with fixed key order; diagnostics to stderr.
 """
 
@@ -16,7 +16,9 @@ import sys
 # gamma, harness and perms are compiled on first use (see __init__), so they
 # are read through their modules: binding a name here would load its module
 from . import bipartite, gamma, harness, perms
-from ._guards import guard
+from ._guards import METHODS, guard
+
+_DIGITS = len(str(sys.maxsize))  # the graph header's bound, as in parse_graph
 
 
 def _read_graph(path: str) -> bipartite.BipartiteGraph:
@@ -85,16 +87,22 @@ def _cmd_gen(args) -> int:
 
 def _cmd_count(args) -> int:
     method = args["method"]
-    if method not in ("cvmp", "ryser", "brute"):
+    if method not in METHODS:
         raise ValueError(f"count --method takes cvmp, ryser or brute, not {method!r}")
     g = _read_graph(args["file"])
-    if method == "cvmp":
-        print(harness.count_via_cvmp(g))
-    elif method == "ryser":
-        print(bipartite.count_ryser(g))
-    else:
-        print(bipartite.count_bruteforce(g))
+    _, _, module, counter = METHODS[method]
+    print(getattr(sys.modules["permmatch." + module], counter)(g))
     return 0
+
+
+def _int(text: str) -> int:
+    """int(text), read as parse_graph reads its header: ASCII digits after an
+    optional "-", at most _DIGITS characters, so "_", blanks, other scripts'
+    digits and the interpreter's digit limit never reach int()."""
+    digits = text[1:] if text.startswith("-") else text
+    if len(text) > _DIGITS or not (digits.isascii() and digits.isdigit()):
+        raise ValueError
+    return int(text)
 
 
 # command -> (handler, positionals, options, required options); an option
@@ -102,11 +110,11 @@ def _cmd_count(args) -> int:
 # choices and exclusive options.
 _COMMANDS = {
     "verify": (_cmd_verify, ("file",), {}, ()),
-    "sweep": (_cmd_sweep, (), {"--n": int, "--exhaustive": None, "--trials": int,
-                               "--seed": int}, ("--n",)),
-    "gamma": (_cmd_gamma, (), {"--n": int, "--dot": None, "--stats": None}, ("--n",)),
-    "factorize": (_cmd_factorize, ("cycles",), {"--n": int}, ("--n",)),
-    "gen": (_cmd_gen, (), {"--n": int, "--density": float, "--seed": int},
+    "sweep": (_cmd_sweep, (), {"--n": _int, "--exhaustive": None, "--trials": _int,
+                               "--seed": _int}, ("--n",)),
+    "gamma": (_cmd_gamma, (), {"--n": _int, "--dot": None, "--stats": None}, ("--n",)),
+    "factorize": (_cmd_factorize, ("cycles",), {"--n": _int}, ("--n",)),
+    "gen": (_cmd_gen, (), {"--n": _int, "--density": float, "--seed": _int},
             ("--n", "--density", "--seed")),
     "count": (_cmd_count, ("file",), {"--method": str}, ("--method",)),
 }
@@ -151,8 +159,9 @@ def _parse(argv: list):
             try:
                 values[opt[2:]] = options[opt](value)
             except ValueError:
-                kind = options[opt].__name__
-                raise ValueError(f"{command}: {opt} takes {kind} values, not {value!r}") from None
+                kind = "float" if options[opt] is float else "int"
+                shown = repr(value) if len(value) <= _DIGITS else f"one of {len(value)} characters"
+                raise ValueError(f"{command}: {opt} takes {kind} values, not {shown}") from None
     missing = [opt for opt in required if values[opt[2:]] is None]
     missing += [name.upper() for name in positionals[len(given):]]
     if missing:

@@ -11,20 +11,13 @@ report so it can be replayed.
 
 from __future__ import annotations
 
+import sys
 import time
 
-from ._guards import LIMITS, guard
-from .bipartite import (
-    BipartiteGraph,
-    count_bruteforce,
-    count_ryser,
-    random_graph,
-    serialize_graph,
-)
+from ._guards import LIMITS, METHODS, guard
+from .bipartite import BipartiteGraph, random_graph, serialize_graph
 
 SWEEP_DENSITY = 0.5
-# guard names of the methods `_instance_counts` runs, which `verify` checks first
-COUNTERS = ("cvmp", "brute force", "Ryser")
 
 
 def count_via_cvmp(g: BipartiteGraph) -> int:
@@ -60,12 +53,11 @@ def count_via_cvmp(g: BipartiteGraph) -> int:
 
 
 def _instance_counts(g: BipartiteGraph) -> tuple[dict, dict]:
-    # Built per call, so a counter rebound on this module is the one timed.
-    counters = {"cvmp": count_via_cvmp, "bruteforce": count_bruteforce, "ryser": count_ryser}
     counts, elapsed = {}, {}
-    for name, counter in counters.items():
+    for _, name, module, counter in METHODS.values():
+        count = getattr(sys.modules["permmatch." + module], counter)
         t0 = time.perf_counter()
-        counts["count_" + name] = counter(g)
+        counts["count_" + name] = count(g)
         elapsed[name] = time.perf_counter() - t0
     return counts, elapsed
 
@@ -80,14 +72,14 @@ def verify(g: BipartiteGraph) -> dict:
     Raises ValueError, before counting anything, when fewer than two
     methods are in guard at g.n: one count would compare nothing.
     """
-    in_guard = [m for m in COUNTERS if g.n <= LIMITS[m]]
+    in_guard = [m for m, (stage, *_) in METHODS.items() if g.n <= LIMITS[stage]]
     if len(in_guard) < 2:
-        guards = ", ".join(f"{m} n <= {LIMITS[m]}" for m in COUNTERS)
+        guards = ", ".join(f"{s} n <= {LIMITS[s]}" for s, *_ in METHODS.values())
         if not in_guard:
             raise ValueError(f"no counting method is in guard at n={g.n}: {guards}")
         raise ValueError(
             f"only one counting method is in guard at n={g.n} ({guards}) and "
-            f"verify needs two to compare; use `count --method ryser` for the count"
+            f"verify needs two to compare; use `count --method {in_guard[0]}` for the count"
         )
     counts, elapsed = _instance_counts(g)
     return {

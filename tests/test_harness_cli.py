@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permmatch import cli
+from permmatch._guards import LIMITS, METHODS
 from permmatch.bipartite import (
     BipartiteGraph,
     count_bruteforce,
@@ -443,13 +444,15 @@ class TestCli:
             assert len(result.stderr.encode()) < 200
 
     def test_long_numbers_refused_alike_at_any_digit_limit(self, tmp_path):
-        # a header line or a point longer than sys.maxsize's 19 digits is
-        # refused by its length before int() reads it: the interpreter's digit
-        # limit, here the default and the least CPython accepts, changes no
-        # byte, and nothing long is echoed
+        # a header line, a point or an integer option longer than
+        # sys.maxsize's 19 digits is refused by its length before int() reads
+        # it: the interpreter's digit limit, here the default and the least
+        # CPython accepts, changes no byte, and nothing long is echoed
         headers = ["x" * 100_000, "1" * 4300, "1" * 5000, str(2**63)]
         points = ["2" * 1000, "0" * 24 + "2"]
         runs = [["factorize", "--n", "4", f"(1,{p})"] for p in points]
+        runs += [["gen", "--n", "3", "--density", "0.5", "--seed", "7" * 5000],
+                 ["factorize", "--n", "1" * 1000, "()"]]
         for i, header in enumerate(headers):
             path = tmp_path / f"h{i}.txt"
             path.write_text(header + "\n1\n")
@@ -475,7 +478,45 @@ class TestCli:
         assert capsys.readouterr().out == first
 
     def test_gen_bad_density(self, capsys):
-        assert main(["gen", "--n", "3", "--density", "2", "--seed", "0"]) == 2
+        # float() reads "nan", "inf" and "1_0" too; the range check refuses them
+        for density in ["2", "nan", "inf", "1_0"]:
+            assert main(["gen", "--n", "3", "--density", density, "--seed", "0"]) == 2
+            assert capsys.readouterr() == ("", "error: density must lie in [0,1]\n")
+
+    @pytest.mark.parametrize(
+        "argv, opt, shown",
+        [
+            (["gen", "--n", "1_0", "--density", "0.5", "--seed", "1"], "--n", "'1_0'"),
+            (["gen", "--n", " \u0663", "--density", "0.5", "--seed", "1"], "--n", "' \u0663'"),
+            (["gen", "--n", "+3", "--density", "0.5", "--seed", "1"], "--n", "'+3'"),
+            (["gen", "--n", "3 ", "--density", "0.5", "--seed", "1"], "--n", "'3 '"),
+            (["gen", "--n", "3", "--density", "0.5", "--seed", "-"], "--seed", "'-'"),
+            (["gen", "--n", "3", "--density", "0.5", "--seed", "1" * 20], "--seed",
+             "one of 20 characters"),
+            (["gen", "--n", "3", "--density", "0.5", "--seed", "-" + "1" * 19], "--seed",
+             "one of 20 characters"),
+            (["gen", "--n", "3", "--density", "0.5", "--seed", "7" * 5000], "--seed",
+             "one of 5000 characters"),
+            (["gen", "--n", "3", "--density", "x" * 100_000, "--seed", "1"], "--density",
+             "one of 100000 characters"),
+            (["sweep", "--n", "3", "--trials", "2_0", "--seed", "1"], "--trials", "'2_0'"),
+            (["factorize", "--n", "\u0664", "()"], "--n", "'\u0664'"),
+        ],
+    )
+    def test_int_options_read_as_the_graph_header(self, argv, opt, shown, capsys):
+        # ASCII digits after an optional "-", at most 19 characters; a longer
+        # value is named by its length, not echoed
+        kind = "float" if opt == "--density" else "int"
+        assert main(argv) == 2
+        err = f"error: {argv[0]}: {opt} takes {kind} values, not {shown}\n"
+        assert capsys.readouterr() == ("", err)
+
+    def test_int_options_up_to_19_characters_are_read(self, capsys):
+        for seed, as_int in [(str(sys.maxsize), sys.maxsize), ("0" * 18 + "7", 7)]:
+            assert main(["gen", "--n", "3", "--density", "0.5", "--seed", seed]) == 0
+            assert capsys.readouterr().out == serialize_graph(random_graph(3, 0.5, as_int))
+        assert main(["gen", "--n", "-" + "0" * 17 + "1", "--density", "0.5", "--seed", "1"]) == 2
+        assert capsys.readouterr() == ("", "error: gen is guarded at 1 <= n <= 24\n")
 
     def test_verify_past_every_guard_exits_2(self, tmp_path, capsys):
         path = self.write_graph(tmp_path, "25\n" + ("1" * 25 + "\n") * 25)
@@ -496,35 +537,36 @@ class TestCli:
 
     @pytest.mark.parametrize("n", [12, 24])
     def test_verify_refuses_before_counting(self, n, monkeypatch, tmp_path, capsys):
-        import permmatch.harness as harness
-
         def never(g):
             raise AssertionError("counted a graph that verify refuses")
 
-        for name in ("count_via_cvmp", "count_bruteforce", "count_ryser"):
-            monkeypatch.setattr(harness, name, never)
+        for _, _, module, counter in METHODS.values():
+            monkeypatch.setattr(sys.modules["permmatch." + module], counter, never)
         path = self.write_graph(tmp_path, serialize_graph(BipartiteGraph.complete(n)))
         assert main(["verify", path]) == 2
         assert "only one counting method is in guard" in capsys.readouterr().err
 
     def test_verify_runs_every_counter_or_none(self, monkeypatch, tmp_path, capsys):
-        # all three counters at n <= 9; past that, fewer than two are in
-        # guard and verify exits 2 before any of them runs
-        import permmatch.harness as harness
-
-        names = ["count_via_cvmp", "count_bruteforce", "count_ryser"]
+        # verify runs exactly the methods in guard, in the table's order, when
+        # two or more are (all three at n <= 9); otherwise it exits 2 before
+        # any of them runs.  Each counter is rebound on the module its row names.
         calls = []
-        for name in names:
-            monkeypatch.setattr(harness, name, lambda g, name=name: calls.append(name) or 1)
+        for method, (_, _, module, counter) in METHODS.items():
+            monkeypatch.setattr(
+                sys.modules["permmatch." + module], counter,
+                lambda g, method=method: calls.append(method) or 1,
+            )
         for n in range(1, 26):
             calls.clear()
             path = self.write_graph(tmp_path, serialize_graph(BipartiteGraph.complete(n)))
             status = main(["verify", path])
             out = capsys.readouterr().out
-            if n <= 9:
-                assert (status, calls) == (0, names), n
+            in_guard = [m for m, (stage, *_) in METHODS.items() if n <= LIMITS[stage]]
+            if len(in_guard) >= 2:
+                assert (status, calls) == (0, in_guard), n
             else:
                 assert (status, out, calls) == (2, "", []), n
+        assert in_guard == []  # n = 25 is past every guard
 
     def test_gamma_stats_past_enumeration_guard(self, capsys):
         assert main(["gamma", "--n", "8", "--stats"]) == 0
@@ -691,7 +733,7 @@ class TestCli:
             (["sweep", "--n", "4", "--trials", "3", "--seed", "1"], ["harness"]),
             (["count", "--method", "cvmp", FILE], ["harness"]),
             (["gamma", "--n", "3", "--stats"], ["gamma", "perms", "harness"]),
-            (["factorize", "--n", "4", "(1,2,4,3)"], ["gamma", "perms", "harness"]),
+            (["factorize", "--n", "4", "(1,2,4,3)"], ["gamma", "perms"]),
         ],
         ids=["verify", "sweep-exhaustive", "sweep-random", "count-cvmp", "gamma-stats",
              "factorize"],
@@ -991,9 +1033,22 @@ class TestCliParse:
             assert run(argv) == (0, usage, ""), argv
         assert run([flag, "bogus"]) == (0, usage, "")
 
+    def test_count_method_texts_name_the_table(self, run):
+        # the usage line and the refusal are written out; each names exactly
+        # the methods of METHODS
+        usage = re.search(r"^  count --method (\S+) FILE ", cli._USAGE, re.M).group(1)
+        assert usage == "cvmp|ryser|brute"
+        assert set(usage.split("|")) == set(METHODS)
+        status, out, err = run(["count", "--method", "exact", FILE])
+        assert (status, out) == (2, "")
+        assert err == "error: count --method takes cvmp, ryser or brute, not 'exact'\n"
+        named = re.search(r"takes (.*), not ", err).group(1)
+        assert set(re.split(r", | or ", named)) == set(METHODS)
 
-# Values of --n that are not decimal ints, and "٣", which int() reads as 3.
-BAD_N = ["x", "", "1.5", "\u0663"]
+
+# Values of --n that are not decimal ints, among them "٣" and "1_0", which
+# int() would read as 3 and 10.
+BAD_N = ["x", "", "1.5", "\u0663", "1_0"]
 
 
 def n_values(runs, refused):
