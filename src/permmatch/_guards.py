@@ -1,4 +1,9 @@
-"""Every n limit of the workbench, its counting methods and the one refusal."""
+"""Every limit of the workbench: n per stage, the digits of a number, the
+counting methods and the one refusal."""
+
+import sys
+
+DIGITS = len(str(sys.maxsize))  # the longest number any parser reads: no larger n fits a row
 
 LIMITS = {
     "cvmp": 9,  # the pruned walk has n! leaves on K_n

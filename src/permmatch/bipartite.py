@@ -31,22 +31,21 @@ same graph whatever NumPy release is installed, or none.
 from __future__ import annotations
 
 import math
-import sys
 from functools import lru_cache
 
 from . import kernels
-from ._guards import guard
+from ._guards import DIGITS, guard
 from ._record import Record
 
 
 class BipartiteGraph(Record):
-    """Square bipartite graph; row v stores its neighbors as a bitset."""
+    """Square bipartite graph; row v is the int whose bit w - 1 marks edge v-w."""
 
     __slots__ = ("n", "rows")
 
     def _validate(self):
         n = self.n
-        rows = tuple(int(r) for r in self.rows)
+        rows = tuple(self.rows)
         if n < 1:
             raise ValueError("n must be >= 1")
         if len(rows) != n:
@@ -58,39 +57,8 @@ class BipartiteGraph(Record):
         object.__setattr__(self, "rows", rows)
 
     @classmethod
-    def from_matrix(cls, matrix) -> "BipartiteGraph":
-        """Build from an iterable of rows of 0/1 entries."""
-        matrix = [list(row) for row in matrix]
-        n = len(matrix)
-        rows = []
-        for row in matrix:
-            if len(row) != n:
-                raise ValueError("matrix must be square")
-            bits = 0
-            for w, e in enumerate(row):
-                if e not in (0, 1, False, True):
-                    raise ValueError(f"entries must be 0/1, got {e!r}")
-                if e:
-                    bits |= 1 << w
-            rows.append(bits)
-        return cls(n, rows)
-
-    @classmethod
-    def from_edges(cls, n: int, edges) -> "BipartiteGraph":
-        rows = [0] * n
-        for v, w in edges:
-            if not (1 <= v <= n and 1 <= w <= n):
-                raise ValueError(f"edge ({v},{w}) out of range 1..{n}")
-            rows[v - 1] |= 1 << (w - 1)
-        return cls(n, rows)
-
-    @classmethod
     def complete(cls, n: int) -> "BipartiteGraph":
         return cls(n, [(1 << n) - 1] * n)
-
-    @classmethod
-    def empty(cls, n: int) -> "BipartiteGraph":
-        return cls(n, [0] * n)
 
     @classmethod
     def from_mask(cls, n: int, mask: int) -> "BipartiteGraph":
@@ -203,10 +171,9 @@ def parse_graph(text: str) -> BipartiteGraph:
     text = text.replace("\r\n", "\n")
     lines = (text[:-1] if text.endswith("\n") else text).split("\n")
     header = lines[0]
-    digits = len(str(sys.maxsize))  # a longer n fits no row, so it is never read or echoed
-    if len(header) > digits:
+    if len(header) > DIGITS:  # a longer n fits no row, so it is never read or echoed
         raise ValueError(
-            f"bad header line of {len(header)} characters; n has at most {digits} digits"
+            f"bad header line of {len(header)} characters; n has at most {DIGITS} digits"
         )
     # serialize_graph writes no leading zero, so none is accepted
     if not (header.isascii() and header.isdigit()) or (header[0] == "0" and header != "0"):

@@ -1,9 +1,11 @@
 """Command-line entry point.
 
 Exit status contract: 0 = all counts agree, 1 = counting mismatch found,
-2 = usage or parse error, 141 = stdout was closed before all output was
-written.  `verify` exits 2 before counting anything when fewer than two
-of its methods are in guard (`_guards.METHODS`): one count compares nothing.
+2 = usage, parse or output error, 141 = stdout was closed before all output
+was written.  An output error is any other failed write to stdout (a full
+disk), reported as `error: stdout: <reason>`.  `verify` exits 2 before
+counting anything when fewer than two of its methods are in guard
+(`_guards.METHODS`): one count compares nothing.
 Reports go to stdout as JSON with fixed key order; diagnostics to stderr.
 """
 
@@ -16,9 +18,7 @@ import sys
 # gamma, harness and perms are compiled on first use (see __init__), so they
 # are read through their modules: binding a name here would load its module
 from . import bipartite, gamma, harness, perms
-from ._guards import METHODS, guard
-
-_DIGITS = len(str(sys.maxsize))  # the graph header's bound, as in parse_graph
+from ._guards import DIGITS, METHODS, guard
 
 
 def _read_graph(path: str) -> bipartite.BipartiteGraph:
@@ -96,11 +96,11 @@ def _cmd_count(args) -> int:
 
 
 def _int(text: str) -> int:
-    """int(text), read as parse_graph reads its header: ASCII digits after an
-    optional "-", at most _DIGITS characters, so "_", blanks, other scripts'
-    digits and the interpreter's digit limit never reach int()."""
+    """int(text) for ASCII digits after an optional "-", at most DIGITS in all,
+    so "_", blanks and other scripts' digits never reach int().  Unlike a
+    graph header, a value may be negative or start with 0 (`--seed 007`)."""
     digits = text[1:] if text.startswith("-") else text
-    if len(text) > _DIGITS or not (digits.isascii() and digits.isdigit()):
+    if len(text) > DIGITS or not (digits.isascii() and digits.isdigit()):
         raise ValueError
     return int(text)
 
@@ -160,7 +160,7 @@ def _parse(argv: list):
                 values[opt[2:]] = options[opt](value)
             except ValueError:
                 kind = "float" if options[opt] is float else "int"
-                shown = repr(value) if len(value) <= _DIGITS else f"one of {len(value)} characters"
+                shown = repr(value) if len(value) <= DIGITS else f"one of {len(value)} characters"
                 raise ValueError(f"{command}: {opt} takes {kind} values, not {shown}") from None
     missing = [opt for opt in required if values[opt[2:]] is None]
     missing += [name.upper() for name in positionals[len(given):]]
@@ -198,13 +198,18 @@ def entry() -> None:
     try:
         status = main()
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader left early (`| head -1`): exit 141, as a shell reports a
-        # process SIGPIPE ended, not 1, which reads as a counting mismatch.
+    except OSError as exc:
+        # Only main's writes raise OSError: it reads its files into ValueError.
         # What is still buffered goes to /dev/null, so the shutdown flush
         # cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        status = 141
+        if isinstance(exc, BrokenPipeError):
+            # The reader left early (`| head -1`): exit 141, as a shell reports
+            # a process SIGPIPE ended, not 1, which reads as a counting mismatch.
+            status = 141
+        else:
+            print(f"error: stdout: {exc.strerror}", file=sys.stderr)
+            status = 2
     sys.exit(status)
 
 

@@ -82,8 +82,6 @@ def is_product_realized(g: BipartiteGraph, p: Permutation, psi: Transposition) -
     realized exactly when the two replacement edges of the 4-cycle witness
     are present.
     """
-    if g.n != p.n:
-        raise ValueError(f"size mismatch: graph n={g.n}, permutation n={p.n}")
     if not contains_matching(g, p):
         raise ValueError("p is not realized in g; hypothesis unmet")
     w = four_cycle(p, psi)

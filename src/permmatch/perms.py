@@ -10,9 +10,9 @@ the transposition (i,k) with k >= i, and its identity I is (i,i).
 
 from __future__ import annotations
 
-import sys
 from functools import lru_cache
 
+from ._guards import DIGITS
 from ._record import Record
 
 
@@ -149,7 +149,6 @@ def parse_cycles(text: str, n: int) -> Permutation:
     if n < 1:
         raise ValueError("n must be >= 1")
     images = list(range(n + 1))  # 1-based; slot 0 unused
-    digits = len(str(sys.maxsize))  # no point in 1..n has more
     seen = set()
     pos = 0
     length = len(text)
@@ -174,7 +173,7 @@ def parse_cycles(text: str, n: int) -> Permutation:
                 pos += 1
             if pos == start:
                 raise ValueError(f"expected a point at position {start}")
-            if pos - start > digits:  # named by its length, never echoed or read by int()
+            if pos - start > DIGITS:  # named by its length, never echoed or read by int()
                 raise ValueError(
                     f"point of {pos - start} digits out of range 1..{n} at position {start}"
                 )

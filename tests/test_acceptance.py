@@ -37,7 +37,13 @@ from permmatch.perms import (
     sift,
     unsift,
 )
-from relabel import all_permutations, matching_edges, order_from_chain, path_to_perm
+from relabel import (
+    all_permutations,
+    edge_graph,
+    matching_edges,
+    order_from_chain,
+    path_to_perm,
+)
 
 
 def passed(num, text):
@@ -126,7 +132,7 @@ def test_criterion_6_product_realizability():
             for w in range(1, n + 1):
                 if rng.random() < 0.45:
                     edges.add((v, w))
-        g = BipartiteGraph.from_edges(n, edges)
+        g = edge_graph(n, edges)
         i = rng.randint(1, n - 1)
         psi = Transposition(i, rng.randint(i + 1, n))
         product = compose(p, psi.to_perm(n))

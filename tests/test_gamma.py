@@ -5,7 +5,7 @@ import math
 import pytest
 
 import permmatch.gamma as gamma
-from permmatch.bipartite import BipartiteGraph, contains_matching, random_graph
+from permmatch.bipartite import BipartiteGraph, contains_matching, parse_graph, random_graph
 from permmatch.gamma import (
     Cvmp,
     GammaNode,
@@ -18,7 +18,7 @@ from permmatch.gamma import (
     surplus_edges,
 )
 from permmatch.perms import Permutation, Transposition, parse_cycles
-from relabel import all_permutations, matching_edges, path_to_perm
+from relabel import all_permutations, edge_graph, matching_edges, path_to_perm
 
 
 def figure_path():
@@ -279,14 +279,12 @@ class TestEdgeRequirement:
             assert edge_requirement(p, g) == frozenset()
 
     def test_missing_edge_reported(self):
-        g = BipartiteGraph.from_edges(
-            4, {(v, w) for v in range(1, 5) for w in range(1, 5)} - {(2, 4)}
-        )
+        g = edge_graph(4, {(v, w) for v in range(1, 5) for w in range(1, 5)} - {(2, 4)})
         assert edge_requirement(figure_path(), g) == {(2, 4)}
 
     def test_exact_matching_suffices(self):
         # the surplus edges are genuinely not required
-        g = BipartiteGraph.from_edges(4, [(1, 2), (2, 4), (4, 3), (3, 1)])
+        g = parse_graph("4\n0100\n0001\n1000\n0010\n")
         assert edge_requirement(figure_path(), g) == frozenset()
         for e in [(3, 2), (3, 4), (4, 4)]:
             assert not g.has_edge(*e)

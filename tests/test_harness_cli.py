@@ -1,6 +1,7 @@
 """Harness counting, sweeps, reports, and the command-line surface."""
 
 import contextlib
+import errno
 import io
 import json
 import math
@@ -34,7 +35,7 @@ from permmatch.gamma import (
     unconstrained_walk_count,
 )
 from permmatch.harness import count_via_cvmp, sweep, verify
-from relabel import assert_relabel_invariant, shuffled, square_01
+from relabel import assert_relabel_invariant, bitmasks, shuffled, square_01
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -72,7 +73,7 @@ class TestCountViaCvmp:
         assert count_via_cvmp(BipartiteGraph.complete(4)) == 24
 
     def test_all_zero(self):
-        assert count_via_cvmp(BipartiteGraph.empty(4)) == 0
+        assert count_via_cvmp(BipartiteGraph(4, [0] * 4)) == 0
 
     def test_matches_ryser_random(self):
         for seed in range(500):
@@ -115,7 +116,7 @@ class TestCountViaCvmp:
     def test_closed_forms_past_old_guard(self, missing, n, expected):
         # n!, derangements and menage numbers; at n = 9 brute force also
         # runs its loop over the images of row 1
-        g = BipartiteGraph.from_matrix(shuffled(n, missing, seed=n))
+        g = BipartiteGraph(n, bitmasks(shuffled(n, missing, seed=n)))
         assert count_via_cvmp(g) == expected
         assert count_bruteforce(g) == expected
 
@@ -864,6 +865,20 @@ class TestCli:
             finally:
                 os.close(write_end)
             assert (result.returncode, result.stderr) == (141, ""), argv
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_failed_stdout_write_exits_2_in_one_line(self):
+        # any other failed write is an output error: exit 2, as for a usage or
+        # parse error, not a traceback and 1, which reads as a mismatch
+        expected = (2, f"error: stdout: {os.strerror(errno.ENOSPC)}\n")
+        commands = (
+            ["gen", "--n", "6", "--density", "0.5", "--seed", "7"],  # fails at the last flush
+            ["gamma", "--n", "8", "--dot"],  # fails while printing
+        )
+        for argv in commands:
+            with open("/dev/full", "w") as full:
+                result = run_python(["-m", "permmatch", *argv], stdout=full)
+            assert (result.returncode, result.stderr) == expected, argv
 
     def test_entry_freezes_the_start_up_heap(self):
         # the point of entry() over main(): the objects alive after import

@@ -2,7 +2,7 @@
 
 The kernel takes one column bitmask per row, as `count_ryser` passes it the
 graph's rows; the tests build 0/1 matrices as lists and pass them through
-`bitmasks`.
+`relabel.bitmasks`.
 """
 
 import itertools
@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permmatch import kernels
-from permmatch.bipartite import BipartiteGraph, _uniform_stream, count_ryser
-from relabel import assert_relabel_invariant, shuffled, square_01
+from permmatch.bipartite import _uniform_stream, count_ryser
+from relabel import assert_relabel_invariant, bitmasks, shuffled, square_01
 
 
 def brute_permanent(a):
@@ -53,18 +53,11 @@ def ones(n):
     return [[1] * n for _ in range(n)]
 
 
-def bitmasks(a):
-    return [sum(int(e) << w for w, e in enumerate(row)) for row in a]
-
-
 def derangements(n):
     d = [1, 0]
     for k in range(2, n + 1):
         d.append((k - 1) * (d[-1] + d[-2]))
     return d[n]
-
-
-NOT_01_OR_NOT_SQUARE = [[[2]], [[1, -1], [0, 1]], [[0.5, 1], [1, 1]], [[1, 1]]]
 
 
 class TestRyser:
@@ -103,18 +96,6 @@ class TestRyser:
         n = 21
         a = [[int(v != w) for w in range(n)] for v in range(n)]
         assert kernels.ryser_permanent(bitmasks(a)) == derangements(n)
-
-    @pytest.mark.parametrize("a", NOT_01_OR_NOT_SQUARE)
-    def test_rejects_non_01_or_non_square(self, a):
-        # The kernel reads bitmasks; a matrix reaches it through the graph.
-        with pytest.raises(ValueError):
-            count_ryser(BipartiteGraph.from_matrix(a))
-
-    def test_rejects_non_01_or_non_square_numpy_arrays(self):
-        np = pytest.importorskip("numpy")
-        for a in NOT_01_OR_NOT_SQUARE:
-            with pytest.raises(ValueError):
-                count_ryser(BipartiteGraph.from_matrix(np.array(a)))
 
     def test_guard(self):
         with pytest.raises(ValueError, match="Ryser is guarded at 1 <= n <= 24$"):
