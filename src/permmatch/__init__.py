@@ -7,10 +7,10 @@ at small n.  The package binds only its modules and `__version__`: each
 name is imported from the module defining it (`from permmatch.gamma import
 build_gamma`).
 
-`gamma` and `perms` hold the paper's construction and `harness` serves only
-`verify`, `sweep` and `count --method cvmp`, so the three are registered in
-`sys.modules` at import but compiled only on first attribute access
-(`importlib.util.LazyLoader`).
+`gamma` and `perms` hold the paper's construction, `harness` serves only
+`verify`, `sweep` and `count --method cvmp`, and `pcg` only `gen` and random
+sweeps, so the four are registered in `sys.modules` at import but compiled
+only on first attribute access (`importlib.util.LazyLoader`).
 Registration, not a function-local import, keeps every module a tracer
 reads from `sys.modules` after `import permmatch.cli` in place.
 """
@@ -33,5 +33,6 @@ def _register_lazy(name: str):
 perms = _register_lazy("perms")
 gamma = _register_lazy("gamma")
 harness = _register_lazy("harness")
+pcg = _register_lazy("pcg")
 
 __version__ = "0.1.0"

@@ -3,30 +3,28 @@
 Exit status contract: 0 = all counts agree, 1 = counting mismatch found,
 2 = usage, parse or output error, 141 = stdout was closed before all output
 was written.  An output error is any other failed write to stdout (a full
-disk), reported as `error: stdout: <reason>`.  `verify` exits 2 before
+disk), reported as `error: stdout: <reason>`, or a failed write to stderr,
+reported by the status alone.  `verify` exits 2 before
 counting anything when fewer than two of its methods are in guard
 (`_guards.METHODS`): one count compares nothing.
 Reports go to stdout as JSON with fixed key order; diagnostics to stderr.
 """
 
-from __future__ import annotations
-
-import gc
 import os
 import sys
 
-# gamma, harness and perms are compiled on first use (see __init__), so they
-# are read through their modules: binding a name here would load its module
-from . import bipartite, gamma, harness, perms
+# gamma, harness, pcg and perms are compiled on first use (see __init__), so
+# they are read through their modules: binding a name here would load its module
+from . import bipartite, gamma, harness, pcg, perms
 from ._guards import DIGITS, METHODS, guard
 
 
 def _read_graph(path: str) -> bipartite.BipartiteGraph:
     try:
-        # newline="": parse_graph, not universal newlines, decides what
+        # read as bytes: parse_graph, not universal newlines, decides what
         # ends a line, so a lone "\r" is refused as it is in process
-        with open(path, "r", encoding="ascii", newline="") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            text = fh.read().decode("ascii")
     except OSError as exc:
         raise ValueError(f"{path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
@@ -37,18 +35,56 @@ def _read_graph(path: str) -> bipartite.BipartiteGraph:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _print_json(obj) -> None:
-    # json is imported here, not at the top: only verify, sweep and
-    # gamma --stats print JSON, and the other commands skip its import
-    import json
+# The report writer is json.dumps(obj, indent=2) for the types reports hold,
+# written out here because a cold process pays more to import json than to
+# count a small graph.  Strings are escaped as json's ensure_ascii does.
+_ESCAPES = {c: f"\\u{c:04x}" for c in [*range(32), 127]}
+_ESCAPES.update({8: "\\b", 9: "\\t", 10: "\\n", 12: "\\f", 13: "\\r", 34: '\\"', 92: "\\\\"})
+_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
-    print(json.dumps(obj, indent=2))
+
+def _utf16(code: int) -> str:
+    if code > 0xFFFF:  # a surrogate pair
+        code -= 0x10000
+        return f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}"
+    return f"\\u{code:04x}"
+
+
+def _string(s) -> str:
+    if not isinstance(s, str):
+        raise TypeError(f"report keys are str, not {type(s).__name__}")
+    s = s.translate(_ESCAPES)
+    if not s.isascii():
+        s = "".join(c if c.isascii() else _utf16(ord(c)) for c in s)
+    return f'"{s}"'
+
+
+def _json(obj, indent: str = "\n") -> str:
+    """json.dumps(obj, indent=2) for a dict with str keys, list, str, int,
+    float, bool or None, nested; any other type raises TypeError."""
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        items = [f"{inner}{_string(k)}: {_json(v, inner)}" for k, v in obj.items()]
+        return "{" + ",".join(items) + indent + "}" if items else "{}"
+    if isinstance(obj, list):
+        items = [inner + _json(v, inner) for v in obj]
+        return "[" + ",".join(items) + indent + "]" if items else "[]"
+    if isinstance(obj, str):
+        return _string(obj)
+    if obj is None or isinstance(obj, bool):
+        return {None: "null", True: "true", False: "false"}[obj]
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return _FLOATS.get(text, text)
+    raise TypeError(f"a report holds no {type(obj).__name__}")
 
 
 def _cmd_verify(args) -> int:
     g = _read_graph(args["file"])
     report = harness.verify(g)
-    _print_json(report)
+    print(_json(report))
     return 0 if report["agreement"] else 1
 
 
@@ -56,7 +92,7 @@ def _cmd_sweep(args) -> int:
     if args["exhaustive"] == (args["trials"] is not None):
         raise ValueError("sweep takes exactly one of --exhaustive and --trials")
     report = harness.sweep(args["n"], trials=args["trials"], seed=args["seed"])
-    _print_json(report)
+    print(_json(report))
     return 0 if report["agreement"] else 1
 
 
@@ -66,7 +102,7 @@ def _cmd_gamma(args) -> int:
     if args["dot"]:
         print(gamma.export_dot(args["n"]), end="")
     else:
-        _print_json(gamma.gamma_stats(args["n"]))
+        print(_json(gamma.gamma_stats(args["n"])))
     return 0
 
 
@@ -80,7 +116,7 @@ def _cmd_factorize(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    g = bipartite.random_graph(args["n"], args["density"], args["seed"])
+    g = pcg.random_graph(args["n"], args["density"], args["seed"])
     print(bipartite.serialize_graph(g), end="")
     return 0
 
@@ -171,6 +207,15 @@ def _parse(argv: list):
     return handler, values | dict(zip(positionals, given))
 
 
+def _error(message: str) -> None:
+    """Print `error: message` to stderr.  A failed write leaves the message to
+    the exit status, 2 either way: stderr cannot report its own failure."""
+    try:
+        print(f"error: {message}", file=sys.stderr)
+    except OSError:
+        pass
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     head = argv[: argv.index("--")] if "--" in argv else argv
@@ -181,36 +226,39 @@ def main(argv=None) -> int:
         handler, args = _parse(argv)
         return handler(args)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(str(exc))
         return 2
 
 
 def entry() -> None:
     """Console-script and `python -m permmatch` wrapper around `main`.
 
-    Everything alive after import (the interpreter's start-up heap and this
-    package) lives until the process exits, so it is moved to the permanent
-    generation first: neither the collections during the command nor the
-    final one at shutdown walk it again.  `main` does not freeze, because it
-    also runs inside long-lived processes such as a test session.
+    It flushes stdout, then stderr, and ends the process with `os._exit`:
+    tearing down the interpreter, every module that start-up and site
+    loaded, costs more than counting a small graph.  So atexit hooks do not
+    run (permmatch registers none), and `python -m cProfile -m permmatch`
+    prints no profile: profile through `main`, which returns normally, as
+    tests, library callers and tracers that call it do.
     """
-    gc.freeze()
     try:
         status = main()
         sys.stdout.flush()
     except OSError as exc:
-        # Only main's writes raise OSError: it reads its files into ValueError.
-        # What is still buffered goes to /dev/null, so the shutdown flush
-        # cannot fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # Only main's stdout writes raise OSError: it reads its files into
+        # ValueError, and _error keeps a failed stderr write to itself.
         if isinstance(exc, BrokenPipeError):
             # The reader left early (`| head -1`): exit 141, as a shell reports
             # a process SIGPIPE ended, not 1, which reads as a counting mismatch.
             status = 141
         else:
-            print(f"error: stdout: {exc.strerror}", file=sys.stderr)
+            _error(f"stdout: {exc.strerror}")
             status = 2
-    sys.exit(status)
+    if sys.stderr is not None:  # None when the process started with fd 2 closed
+        try:
+            sys.stderr.flush()
+        except OSError:
+            status = 2
+    os._exit(status)
 
 
 if __name__ == "__main__":

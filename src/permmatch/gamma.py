@@ -24,8 +24,6 @@ Solid R edges join nodes whose consumed edge reappears in a later node's
 edge pair; dashed S edges join node-disjoint pairs at adjacent levels.
 """
 
-from __future__ import annotations
-
 import itertools
 
 from . import harness

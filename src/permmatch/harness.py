@@ -9,13 +9,12 @@ first-class outcome and gets embedded, with the full graph text, in the
 report so it can be replayed.
 """
 
-from __future__ import annotations
-
 import sys
 import time
 
+from . import pcg
 from ._guards import LIMITS, METHODS, guard
-from .bipartite import BipartiteGraph, random_graph, serialize_graph
+from .bipartite import BipartiteGraph, serialize_graph
 
 SWEEP_DENSITY = 0.5
 
@@ -115,7 +114,7 @@ def sweep(n: int, trials: int | None = None, seed: int | None = None) -> dict:
             raise ValueError("random sweeps need a seed")
         if trials < 1:
             raise ValueError(f"random sweeps need trials >= 1, got {trials}")
-        graphs = (random_graph(n, SWEEP_DENSITY, seed + t) for t in range(trials))
+        graphs = (pcg.random_graph(n, SWEEP_DENSITY, seed + t) for t in range(trials))
 
     instances = 0
     mismatches = []

@@ -29,8 +29,6 @@ when every column has odd degree, and at n <= _LOW_BITS + 1 (a single Gray
 step), the loop runs over the whole table.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 

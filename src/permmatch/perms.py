@@ -8,8 +8,6 @@ factorization and `unsift` multiplies it back out.  The level-i factor is
 the transposition (i,k) with k >= i, and its identity I is (i,i).
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 
 from ._guards import DIGITS

@@ -15,7 +15,6 @@ from permmatch.bipartite import (
     contains_matching,
     count_bruteforce,
     count_ryser,
-    random_graph,
 )
 from permmatch.gamma import (
     build_gamma,
@@ -28,6 +27,7 @@ from permmatch.gamma import (
     surplus_edges,
 )
 from permmatch.harness import count_via_cvmp
+from permmatch.pcg import random_graph
 from permmatch.perms import (
     Permutation,
     Transposition,

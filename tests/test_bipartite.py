@@ -14,14 +14,13 @@ from hypothesis import strategies as st
 from permmatch.bipartite import (
     BipartiteGraph,
     _bit_table,
-    _uniform_stream,
     contains_matching,
     count_bruteforce,
     count_ryser,
     parse_graph,
-    random_graph,
     serialize_graph,
 )
+from permmatch.pcg import _uniform_stream, random_graph
 from permmatch.perms import Permutation, parse_cycles
 from relabel import (
     all_permutations,

@@ -5,7 +5,7 @@ import math
 import pytest
 
 import permmatch.gamma as gamma
-from permmatch.bipartite import BipartiteGraph, contains_matching, parse_graph, random_graph
+from permmatch.bipartite import BipartiteGraph, contains_matching, parse_graph
 from permmatch.gamma import (
     Cvmp,
     GammaNode,
@@ -17,6 +17,7 @@ from permmatch.gamma import (
     perm_to_path,
     surplus_edges,
 )
+from permmatch.pcg import random_graph
 from permmatch.perms import Permutation, Transposition, parse_cycles
 from relabel import all_permutations, edge_graph, matching_edges, path_to_perm
 

@@ -23,7 +23,6 @@ from permmatch.bipartite import (
     count_bruteforce,
     count_ryser,
     parse_graph,
-    random_graph,
     serialize_graph,
 )
 from permmatch.cli import main
@@ -35,17 +34,20 @@ from permmatch.gamma import (
     unconstrained_walk_count,
 )
 from permmatch.harness import count_via_cvmp, sweep, verify
+from permmatch.pcg import random_graph
 from relabel import assert_relabel_invariant, bitmasks, shuffled, square_01
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_python(args, stdout=subprocess.PIPE):
-    """Run a fresh interpreter that imports this checkout's permmatch."""
+def run_python(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE):
+    """Run a fresh interpreter that imports this checkout's permmatch, its
+    stdio buffered as by default whatever PYTHONUNBUFFERED says here."""
     env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *args], env=env, stdout=stdout, stderr=subprocess.PIPE, text=True
+        [sys.executable, *args], env=env, stdout=stdout, stderr=stderr, text=True
     )
 
 
@@ -339,17 +341,24 @@ class TestCli:
             "unconstrained_walks",
         ]
 
-    def test_json_stdout_is_the_library_result(self, tmp_path, capsys):
-        g = random_graph(5, 0.5, 7)
-        path = self.write_graph(tmp_path, serialize_graph(g))
+    def test_json_stdout_is_the_library_result(self, cvmp_off_on_edge_11, tmp_path, capsys):
+        # the report writer is not json, so every report shape is checked
+        # against it: with the path count off on edge (1,1), sweeps and
+        # verify reports hold mismatches too
         runs = [
             (["sweep", "--n", "2", "--exhaustive"], sweep(2)),
             (["sweep", "--n", "3", "--trials", "4", "--seed", "2"], sweep(3, 4, 2)),
             (["gamma", "--n", "3", "--stats"], gamma_stats(3)),
-            (["verify", path], verify(g)),
+            (["gamma", "--n", "8", "--stats"], gamma_stats(8)),
         ]
+        assert len(runs[0][1]["mismatches"]) == 8 and runs[3][1]["valid_paths"] is None
+        for n in range(1, 10):
+            for graph in (random_graph(n, 0.6, 40 + n), BipartiteGraph(n, [0] * n)):
+                path = tmp_path / f"{n}-{len(runs)}.txt"
+                path.write_text(serialize_graph(graph))
+                runs.append((["verify", str(path)], verify(graph)))
         for argv, result in runs:
-            assert main(argv) == 0
+            assert main(argv) == (0 if result.get("agreement", True) else 1), argv
             out = capsys.readouterr().out
             if "elapsed" in result:
                 # the timings differ between runs: compare their keys only
@@ -357,6 +366,22 @@ class TestCli:
                 assert list(printed) == list(result["elapsed"])
                 result["elapsed"] = printed
             assert out == json.dumps(result, indent=2) + "\n", argv
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+        max_leaves=12,
+    ))
+    def test_report_writer_is_json_dumps(self, obj):
+        # any text: controls, quotes, backslashes, non-ASCII past U+FFFF;
+        # any float: NaN and the infinities are written as json writes them
+        assert cli._json(obj) == json.dumps(obj, indent=2)
+
+    @pytest.mark.parametrize("obj", [(1, 2), {1: "a"}, {"a": b"x"}, [{1, 2}], {"a": [object()]}])
+    def test_report_writer_refuses_what_reports_never_hold(self, obj):
+        with pytest.raises(TypeError):
+            cli._json(obj)
 
     def test_gamma_dot(self, capsys):
         assert main(["gamma", "--n", "4", "--dot"]) == 0
@@ -600,12 +625,12 @@ class TestCli:
     def test_gen_past_guard_exits_2_before_the_stream(self, n, monkeypatch, capsys):
         # the stream fails if it is started, so only a guard ahead of it
         # exits 2 with the guard's message
-        import permmatch.bipartite as bipartite
+        import permmatch.pcg as pcg
 
         def never(seed):
             raise AssertionError("drew a graph that gen refuses")
 
-        monkeypatch.setattr(bipartite, "_uniform_stream", never)
+        monkeypatch.setattr(pcg, "_uniform_stream", never)
         assert main(["gen", "--n", n, "--density", "0.5", "--seed", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -708,20 +733,29 @@ class TestCli:
         result = run_python(["-c", script])
         assert result.returncode == 0, result.stderr
 
-    def test_report_free_commands_never_import_json(self, tmp_path):
-        # only verify, sweep and gamma --stats print JSON; the other commands
-        # must not pay for loading json, which a fresh interpreter shows
+    def test_no_command_imports_json_future_or_the_ascii_codec(self, tmp_path):
+        # a cold process pays for every module it compiles: reports are
+        # written without json, no module needs __future__, and graph files
+        # are decoded by the built-in ASCII decoder, not the codec module;
+        # a fresh interpreter shows what the commands loaded
         path = self.write_graph(tmp_path, "4\n1101\n0111\n1011\n1110\n")
+        bad = tmp_path / "bad.txt"
+        bad.write_text("2\n1x\n11\n")
+        forbidden = ["json", "__future__", "encodings.ascii"]
         script = "\n".join([
             "import contextlib, io, sys",
+            f"forbidden = {forbidden!r}",
+            "assert not set(forbidden) & set(sys.modules), 'loaded at start-up'",
             "from permmatch.cli import main",
-            f"path = {path!r}",
-            "runs = [['count', '--method', m, path] for m in ('cvmp', 'brute', 'ryser')]",
-            "runs += [['factorize', '--n', '4', '(1,2,4,3)'], ['gamma', '--n', '3', '--dot']]",
+            f"runs = {[[path if a is FILE else a for a in argv] for argv in VALID]!r}",
+            "runs.append(['--help'])",
             "for argv in runs:",
             "    with contextlib.redirect_stdout(io.StringIO()):",
             "        assert main(argv) == 0, argv",
-            "assert 'json' not in sys.modules, 'json was imported'",
+            "with contextlib.redirect_stderr(io.StringIO()):",
+            f"    assert main(['verify', {str(bad)!r}]) == 2",
+            "loaded = set(forbidden) & set(sys.modules)",
+            "assert not loaded, f'{sorted(loaded)} imported'",
         ])
         result = run_python(["-c", script])
         assert result.returncode == 0, result.stderr
@@ -731,20 +765,22 @@ class TestCli:
         [
             (["verify", FILE], ["harness"]),
             (["sweep", "--n", "2", "--exhaustive"], ["harness"]),
-            (["sweep", "--n", "4", "--trials", "3", "--seed", "1"], ["harness"]),
+            (["sweep", "--n", "4", "--trials", "3", "--seed", "1"], ["harness", "pcg"]),
             (["count", "--method", "cvmp", FILE], ["harness"]),
             (["gamma", "--n", "3", "--stats"], ["gamma", "perms", "harness"]),
             (["factorize", "--n", "4", "(1,2,4,3)"], ["gamma", "perms"]),
+            (["gen", "--n", "6", "--density", "0.5", "--seed", "7"], ["pcg"]),
         ],
         ids=["verify", "sweep-exhaustive", "sweep-random", "count-cvmp", "gamma-stats",
-             "factorize"],
+             "factorize", "gen"],
     )
     def test_gamma_and_perms_registered_but_loaded_on_first_use(self, user, loads, tmp_path):
         # a tracer wrapping every measured module reads all six from
         # sys.modules right after `import permmatch.cli`, yet no counting
-        # command runs gamma or perms, and count by Ryser or brute force and
-        # gen never run harness, so the three are compiled on first use;
-        # type() reads no attribute, so checking cannot load them.  The
+        # command runs gamma or perms, count by Ryser or brute force never
+        # runs harness, and only gen and random sweeps draw from the PCG
+        # stream, so the four are compiled on first use; type() reads no
+        # attribute, so checking cannot load them.  The
         # command line is parsed without argparse, and so without the
         # gettext and locale modules it imports.
         path = self.write_graph(tmp_path, "4\n1101\n0111\n1011\n1110\n")
@@ -756,13 +792,13 @@ class TestCli:
             "measured = ('cli', 'bipartite', 'perms', 'gamma', 'harness', 'kernels')",
             "missing = [m for m in measured if 'permmatch.' + m not in sys.modules]",
             "assert not missing, f'{missing} not registered'",
-            "lazy = ('gamma', 'perms', 'harness')",
+            "lazy = ('gamma', 'perms', 'harness', 'pcg')",
             "def loaded():",
             "    return [m for m in lazy if type(sys.modules['permmatch.' + m]) is types.ModuleType]",
             "assert not loaded(), f'{loaded()} loaded by the import'",
             f"path = {path!r}",
             "runs = [['count', '--method', 'ryser', path], ['count', '--method', 'brute', path],",
-            "        ['gen', '--n', '6', '--density', '0.5', '--seed', '7'], ['--help']]",
+            "        ['--help']]",
             f"runs.append({user!r})",
             "for argv in runs:",
             "    with contextlib.redirect_stdout(io.StringIO()):",
@@ -880,24 +916,47 @@ class TestCli:
                 result = run_python(["-m", "permmatch", *argv], stdout=full)
             assert (result.returncode, result.stderr) == expected, argv
 
-    def test_entry_freezes_the_start_up_heap(self):
-        # the point of entry() over main(): the objects alive after import
-        # are frozen, so the shutdown collection does not walk them
-        script = "\n".join([
-            "import contextlib, gc, io, sys",
-            "from permmatch import cli",
-            "sys.argv = ['permmatch', 'gamma', '--n', '3', '--stats']",
-            "try:",
-            "    with contextlib.redirect_stdout(io.StringIO()):",
-            "        cli.entry()",
-            "except SystemExit as exc:",
-            "    assert exc.code == 0, exc.code",
-            "else:",
-            "    raise AssertionError('entry() returned instead of exiting')",
-            "assert gc.get_freeze_count() > 0, 'nothing was frozen'",
-        ])
-        result = run_python(["-c", script])
-        assert result.returncode == 0, result.stderr
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_unwritable_stderr_exits_2_silently(self, tmp_path):
+        # a refusal, or a failed stdout write, that stderr cannot carry is
+        # told by the status alone: 2, not 1, which reads as a mismatch
+        bad = tmp_path / "bad.txt"
+        bad.write_text("2\n1x\n11\n")
+        with open("/dev/full", "w") as full:
+            result = run_python(["-m", "permmatch", "verify", str(bad)], stderr=full)
+            assert (result.returncode, result.stdout) == (2, "")
+            argv = ["gen", "--n", "6", "--density", "0.5", "--seed", "7"]
+            result = run_python(["-m", "permmatch", *argv], stdout=full, stderr=full)
+            assert result.returncode == 2
+
+    def test_entry_flushes_both_streams_and_ends_the_process(self, tmp_path, capsys):
+        # entry() ends the process with os._exit, which runs no line after
+        # it and flushes nothing: stdout to a regular file and the stderr
+        # file set below are block-buffered, so what they hold got there
+        # through entry's own flushes, stdout's and then stderr's
+        k5 = self.write_graph(tmp_path, "5\n11111\n11111\n11111\n11111\n11111\n")
+        bad = tmp_path / "bad.txt"
+        bad.write_text("2\n1x\n11\n")
+        out, err = tmp_path / "out.txt", tmp_path / "err.txt"
+        runs = [(["gamma", "--n", "8", "--dot"], 0), (["verify", k5], 0), (["verify", str(bad)], 2)]
+        for argv, status in runs:
+            script = "\n".join([
+                "import sys",
+                "from permmatch import cli",
+                f"sys.stderr = open({str(err)!r}, 'w')",
+                f"sys.argv = ['permmatch', *{argv!r}]",
+                "cli.entry()",
+                "sys.exit(99)",
+            ])
+            with open(out, "w") as stdout:
+                result = run_python(["-c", script], stdout=stdout)
+            assert result.returncode == status, argv
+            assert main(argv) == status
+            expected = capsys.readouterr()
+            assert blank_elapsed(out.read_text()) == blank_elapsed(expected.out), argv
+            assert err.read_text() == expected.err, argv
+        assert expected.err.startswith(f"error: {bad}: ")
+        assert out.stat().st_size == 0
 
     def test_mismatch_would_exit_1(self, monkeypatch, tmp_path, capsys):
         # force a wrong count to confirm the mismatch contract end to end

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permmatch import kernels
-from permmatch.bipartite import _uniform_stream, count_ryser
+from permmatch.bipartite import count_ryser
+from permmatch.pcg import _uniform_stream
 from relabel import assert_relabel_invariant, bitmasks, shuffled, square_01
 
 
