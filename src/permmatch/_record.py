@@ -4,8 +4,9 @@ A subclass lists its fields, in order, as a tuple in `__slots__`.  `Record` then
 it what `dataclasses` would, without importing that module (which loads
 `inspect`, `ast` and `dis`) and without generating code for each class:
 
-- `__init__` by position or keyword, raising TypeError for a missing, extra
-  or duplicate field, then calling the subclass's `_validate` hook;
+- `__init__` from one value per field, in `__slots__` order (any other
+  number is a TypeError, as is a keyword), then the subclass's `_validate`
+  hook;
 - no assignment or deletion once built (AttributeError);
 - equality and hashing by field values, between instances of one class only;
 - a `Name(field=value, ...)` repr.
@@ -25,31 +26,15 @@ class Record:
         # key within one class that serves as well as a 1-tuple.
         cls._key = attrgetter(*cls._fields)
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args):
         fields = self._fields
-        if kwargs or len(args) != len(fields):
-            args = self._bind(args, kwargs)
+        if len(args) != len(fields):
+            raise TypeError(
+                f"{type(self).__name__}() takes {len(fields)} fields but {len(args)} were given"
+            )
         for field, value in zip(fields, args):
             _set(self, field, value)
         self._validate()
-
-    @classmethod
-    def _bind(cls, args, kwargs) -> tuple:
-        """Field values in order from mixed arguments, or TypeError."""
-        fields, name = cls._fields, cls.__name__
-        if len(args) > len(fields):
-            raise TypeError(
-                f"{name}() takes {len(fields)} fields but {len(args)} were given"
-            )
-        for field in kwargs:
-            if field not in fields:
-                raise TypeError(f"{name}() got an unexpected field {field!r}")
-            if fields.index(field) < len(args):
-                raise TypeError(f"{name}() got multiple values for field {field!r}")
-        missing = [f for f in fields[len(args) :] if f not in kwargs]
-        if missing:
-            raise TypeError(f"{name}() is missing fields: {', '.join(missing)}")
-        return args + tuple(kwargs[f] for f in fields[len(args) :])
 
     def _validate(self):
         """Check the fields; a subclass may normalize them with object.__setattr__."""

@@ -3,13 +3,15 @@
 Exit status contract: 0 = all counts agree, 1 = counting mismatch found,
 2 = usage, parse or output error, 141 = stdout was closed before all output
 was written.  An output error is any other failed write to stdout (a full
-disk), reported as `error: stdout: <reason>`, or a failed write to stderr,
-reported by the status alone.  `verify` exits 2 before
-counting anything when fewer than two of its methods are in guard
-(`_guards.METHODS`): one count compares nothing.
+disk), reported as `error: stdout: <reason>`; a process started with fd 1
+closed, reported as `error: stdout: Bad file descriptor` before any file is
+read; or a failed write to stderr, reported by the status alone.  `verify`
+exits 2 before counting anything when fewer than two of its methods are in
+guard (`_guards.METHODS`): one count compares nothing.
 Reports go to stdout as JSON with fixed key order; diagnostics to stderr.
 """
 
+import errno
 import os
 import sys
 
@@ -24,44 +26,29 @@ def _read_graph(path: str) -> bipartite.BipartiteGraph:
         # read as bytes: parse_graph, not universal newlines, decides what
         # ends a line, so a lone "\r" is refused as it is in process
         with open(path, "rb") as fh:
-            text = fh.read().decode("ascii")
+            return bipartite.parse_graph(fh.read().decode("ascii"))
     except OSError as exc:
         raise ValueError(f"{path}: {exc.strerror}") from exc
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    try:
-        return bipartite.parse_graph(text)
-    except ValueError as exc:
+    except ValueError as exc:  # a UnicodeDecodeError or a parse refusal
         raise ValueError(f"{path}: {exc}") from exc
 
 
-# The report writer is json.dumps(obj, indent=2) for the types reports hold,
-# written out here because a cold process pays more to import json than to
-# count a small graph.  Strings are escaped as json's ensure_ascii does.
+# The report writer is json.dumps(obj, indent=2) for the ASCII text and finite
+# numbers reports hold (anything else raises TypeError), written out here
+# because a cold process pays more to import json than to count a small graph.
 _ESCAPES = {c: f"\\u{c:04x}" for c in [*range(32), 127]}
 _ESCAPES.update({8: "\\b", 9: "\\t", 10: "\\n", 12: "\\f", 13: "\\r", 34: '\\"', 92: "\\\\"})
-_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _utf16(code: int) -> str:
-    if code > 0xFFFF:  # a surrogate pair
-        code -= 0x10000
-        return f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}"
-    return f"\\u{code:04x}"
 
 
 def _string(s) -> str:
-    if not isinstance(s, str):
-        raise TypeError(f"report keys are str, not {type(s).__name__}")
-    s = s.translate(_ESCAPES)
-    if not s.isascii():
-        s = "".join(c if c.isascii() else _utf16(ord(c)) for c in s)
-    return f'"{s}"'
+    if not (isinstance(s, str) and s.isascii()):
+        raise TypeError(f"report text is ASCII str, not {s!r:.20}")
+    return f'"{s.translate(_ESCAPES)}"'
 
 
 def _json(obj, indent: str = "\n") -> str:
-    """json.dumps(obj, indent=2) for a dict with str keys, list, str, int,
-    float, bool or None, nested; any other type raises TypeError."""
+    """json.dumps(obj, indent=2) for nested dicts, lists, ASCII str, int, finite
+    float, bool and None; any other key or value raises TypeError."""
     inner = indent + "  "
     if isinstance(obj, dict):
         items = [f"{inner}{_string(k)}: {_json(v, inner)}" for k, v in obj.items()]
@@ -75,10 +62,9 @@ def _json(obj, indent: str = "\n") -> str:
         return {None: "null", True: "true", False: "false"}[obj]
     if isinstance(obj, int):
         return int.__repr__(obj)
-    if isinstance(obj, float):
-        text = float.__repr__(obj)
-        return _FLOATS.get(text, text)
-    raise TypeError(f"a report holds no {type(obj).__name__}")
+    if isinstance(obj, float) and obj - obj == 0:  # not NaN or an infinity
+        return float.__repr__(obj)
+    raise TypeError(f"a report holds no {type(obj).__name__} {obj!r:.20}")
 
 
 def _cmd_verify(args) -> int:
@@ -241,11 +227,13 @@ def entry() -> None:
     tests, library callers and tracers that call it do.
     """
     try:
+        if sys.stdout is None:  # the process started with fd 1 closed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         status = main()
         sys.stdout.flush()
     except OSError as exc:
-        # Only main's stdout writes raise OSError: it reads its files into
-        # ValueError, and _error keeps a failed stderr write to itself.
+        # Only stdout raises OSError: main reads its files into ValueError,
+        # and _error keeps a failed stderr write to itself.
         if isinstance(exc, BrokenPipeError):
             # The reader left early (`| head -1`): exit 141, as a shell reports
             # a process SIGPIPE ended, not 1, which reads as a counting mismatch.

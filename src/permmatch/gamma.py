@@ -64,12 +64,7 @@ def four_cycle(p: Permutation, psi: Transposition) -> FourCycleWitness:
     a = p.preimage(i)
     t = p.preimage(k)
     return FourCycleWitness(
-        i=i,
-        k=k,
-        a=a,
-        t=t,
-        edges_before=frozenset({(a, i), (t, k)}),
-        edges_after=frozenset({(a, k), (t, i)}),
+        i, k, a, t, frozenset({(a, i), (t, k)}), frozenset({(a, k), (t, i)})
     )
 
 

@@ -40,14 +40,19 @@ from relabel import assert_relabel_invariant, bitmasks, shuffled, square_01
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_python(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE):
+# the text a report can hold
+ASCII_TEXT = st.text(st.characters(max_codepoint=127))
+
+
+def run_python(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, **kwargs):
     """Run a fresh interpreter that imports this checkout's permmatch, its
-    stdio buffered as by default whatever PYTHONUNBUFFERED says here."""
+    stdio buffered as by default whatever PYTHONUNBUFFERED says here;
+    kwargs go to subprocess.run."""
     env = dict(os.environ)
     env.pop("PYTHONUNBUFFERED", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *args], env=env, stdout=stdout, stderr=stderr, text=True
+        [sys.executable, *args], env=env, stdout=stdout, stderr=stderr, text=True, **kwargs
     )
 
 
@@ -286,6 +291,25 @@ class TestCli:
         assert captured.err.startswith(f"error: {f}: ")
         assert "Traceback" not in captured.err
 
+    def test_unreadable_graph_file_refusals_name_the_path(self, tmp_path, capsys):
+        # one stderr line each: the path, then the OS's reason, the ASCII
+        # decoder's or the parser's, for verify and count alike
+        non_ascii = tmp_path / "arabic.txt"
+        non_ascii.write_bytes("\u0662\n1\n1\n".encode("utf-8"))
+        bad = tmp_path / "bad.txt"
+        bad.write_text("2\n1x\n11\n")
+        reasons = {
+            tmp_path / "missing.txt": os.strerror(errno.ENOENT),
+            tmp_path: os.strerror(errno.EISDIR),
+            non_ascii: "'ascii' codec can't decode byte 0xd9 in position 0: "
+            "ordinal not in range(128)",
+            bad: "row 1 has characters outside 0/1: ['x']",
+        }
+        for path, reason in reasons.items():
+            for argv in (["verify", str(path)], ["count", "--method", "ryser", str(path)]):
+                assert main(argv) == 2, argv
+                assert capsys.readouterr() == ("", f"error: {path}: {reason}\n"), argv
+
     @pytest.mark.parametrize(
         "raw", [b"2\v11\f01\n", b"2\r11\r01\r", b"\x1f2\x1f\n11\n01\n"],
         ids=["vt-ff", "lone-cr", "unit-separator"],
@@ -369,16 +393,20 @@ class TestCli:
 
     @settings(max_examples=200, deadline=None)
     @given(st.recursive(
-        st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+        st.none() | st.booleans() | st.integers()
+        | st.floats(allow_nan=False, allow_infinity=False) | ASCII_TEXT,
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(ASCII_TEXT, inner, max_size=4),
         max_leaves=12,
     ))
     def test_report_writer_is_json_dumps(self, obj):
-        # any text: controls, quotes, backslashes, non-ASCII past U+FFFF;
-        # any float: NaN and the infinities are written as json writes them
+        # any ASCII text, controls, quotes and backslashes among it, and any
+        # finite float: what a report can hold is written as json writes it
         assert cli._json(obj) == json.dumps(obj, indent=2)
 
-    @pytest.mark.parametrize("obj", [(1, 2), {1: "a"}, {"a": b"x"}, [{1, 2}], {"a": [object()]}])
+    @pytest.mark.parametrize("obj", [
+        (1, 2), {1: "a"}, {"a": b"x"}, [{1, 2}], {"a": [object()]},
+        "\u00e9", {"\u00e9": 1}, math.nan, [math.inf], {"a": -math.inf},
+    ])
     def test_report_writer_refuses_what_reports_never_hold(self, obj):
         with pytest.raises(TypeError):
             cli._json(obj)
@@ -901,6 +929,16 @@ class TestCli:
             finally:
                 os.close(write_end)
             assert (result.returncode, result.stderr) == (141, ""), argv
+
+    def test_no_stdout_exits_2_in_one_line(self, tmp_path):
+        # a process started with fd 1 closed (`permmatch verify g.txt >&-`)
+        # has no sys.stdout: an output error, told before reading any file
+        k3 = self.write_graph(tmp_path, "3\n111\n111\n111\n")
+        expected = (2, f"error: stdout: {os.strerror(errno.EBADF)}\n")
+        for argv in (["verify", k3], ["verify", "/nonexistent/graph.txt"], ["--help"]):
+            result = run_python(["-m", "permmatch", *argv], stdout=None,
+                                preexec_fn=lambda: os.close(1))
+            assert (result.returncode, result.stderr) == expected, argv
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     def test_failed_stdout_write_exits_2_in_one_line(self):

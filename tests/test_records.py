@@ -45,10 +45,9 @@ def test_every_record_class_has_an_example():
 class TestValueSemantics:
     def test_equal_fields_equal_values(self, name):
         a = EXAMPLES[name]()
-        cls, values = type(a), _fields(a)
-        for b in (cls(**values), cls(*values.values())):
-            assert a == b and not a != b
-            assert hash(a) == hash(b)
+        b = type(a)(*_fields(a).values())
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
 
     def test_other_class_same_fields_unequal(self, name):
         a = EXAMPLES[name]()
@@ -70,18 +69,19 @@ class TestValueSemantics:
         assert not hasattr(a, "__dict__")
 
     def test_missing_extra_and_duplicate_fields(self, name):
+        # a record takes one value per field, in order, and no keyword
         a = EXAMPLES[name]()
         cls, values = type(a), _fields(a)
         args = list(values.values())
-        first = next(iter(values))
-        with pytest.raises(TypeError, match="missing fields"):
+        k = len(args)
+        with pytest.raises(TypeError, match=f"{name}\\(\\) takes {k} fields but {k - 1} were given"):
             cls(*args[:-1])
-        with pytest.raises(TypeError, match="fields but"):
+        with pytest.raises(TypeError, match=f"{name}\\(\\) takes {k} fields but {k + 1} were given"):
             cls(*args, None)
-        with pytest.raises(TypeError, match="unexpected field 'extra'"):
-            cls(*args, extra=None)
-        with pytest.raises(TypeError, match=f"multiple values for field '{first}'"):
-            cls(*args, **{first: values[first]})
+        with pytest.raises(TypeError):
+            cls(**values)
+        with pytest.raises(TypeError):
+            cls(*args[:-1], **{list(values)[-1]: args[-1]})
 
     def test_repr_names_every_field(self, name):
         a = EXAMPLES[name]()
@@ -114,10 +114,6 @@ class TestExamples:
         assert Transposition(1, 2) != Transposition(1, 3)
         assert Transposition(1, 1) != Transposition(2, 2)
         assert GammaNode(1, 2, 3) != GammaNode(1, 3, 2)
-
-    def test_keyword_and_positional_mix(self):
-        assert GammaNode(1, t=3, k=2) == GammaNode(1, 2, 3)
-        assert Transposition(k=3, i=1) == Transposition(1, k=3) == Transposition(1, 3)
 
     def test_normalized_fields(self):
         assert Permutation([2, 1]).images == (2, 1)
