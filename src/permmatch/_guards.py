@@ -8,7 +8,7 @@ DIGITS = len(str(sys.maxsize))  # the longest number any parser reads: no larger
 LIMITS = {
     "cvmp": 9,  # the pruned walk has n! leaves on K_n
     "brute force": 9,  # time, not memory: n!/8! passes over the S_8 table
-    "Ryser": 24,  # 2^(n-1) Glynn terms, 5-6 s at n = 24
+    "Ryser": 24,  # 2^(n-1) Glynn terms: J_24 takes 3.2-4.4 s on two CPUs, 4.8-5.6 s on one
     "sweep": 7,  # every instance runs all three counters
     "exhaustive sweep": 4,  # 2^(n*n) graphs
     "build": 12,  # S edges: 6,801 at n = 10, 20,449 at n = 12

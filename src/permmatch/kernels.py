@@ -27,10 +27,29 @@ Each Gray step ORs the flags its fields select, one lookup per even column,
 and runs the term loop over the live entries only.  When no flag is set,
 when every column has odd degree, and at n <= _LOW_BITS + 1 (a single Gray
 step), the loop runs over the whole table.
+
+Orientation.  perm(A) = perm(A^T), and the skip works on columns, so from
+n = _LOW_BITS + 2, where it starts, the kernel runs on A^T when A^T has more
+columns of even degree than A (that is, A has more rows of even degree).
+
+The split.  From n = 15 (_SPLIT_ROWS Gray-coded rows), when the process may
+run on at least two CPUs, the Gray code is cut in two at its last row.  A
+forked child walks the half where that row has d_i = -1 and writes its sum
+to a pipe; this process walks the other half, reads the child's sum and
+reaps the child, and a nonzero child status raises.  The child ends with
+os._exit because it holds copies of this process's unflushed stdio buffers
+and atexit hooks, which a normal exit would flush or run a second time.  It
+runs only the walk, over ints it already holds, so a caller's other threads
+cannot leave it a lock to wait on.  Below n = 15 the fork, the child's start
+and its exit (about 2 ms together) cost more than half the walk saves.  When
+the pipe or the fork cannot be made, this process walks both halves.
 """
 
+import functools
 import itertools
 import math
+import operator
+import os
 
 from ._guards import guard
 
@@ -41,6 +60,7 @@ _LOW_BITS = 8  # sign rows tabulated per call: 256 entries
 _BIAS = 128  # field value of a zero column sum; |s_j| <= 24 stays in 0..255
 _ABS = bytes(abs(b - _BIAS) for b in range(256))
 _LIVE = bytes([1]) + bytes(255)  # flag byte 0 (no zero column sum) -> live
+_SPLIT_ROWS = 6  # Gray-coded rows (n >= 15) from which a forked child pays
 
 
 def _zero_masks(start: int, low: list, n: int) -> list:
@@ -72,37 +92,19 @@ def _zero_masks(start: int, low: list, n: int) -> list:
     return masks
 
 
-def ryser_permanent(rows) -> int:
-    """Permanent of the n x n 0/1 matrix whose entry (i, j) is bit j of
-    rows[i], as `BipartiteGraph.rows` holds it; exact up to its guard."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    guard("Ryser", n)
-    # Row i spread into the 8-bit fields: column j's entry at bit 8j.
-    fields = [sum(1 << 8 * j for j in range(n) if r >> j & 1) for r in rows]
-    top_bits = int.from_bytes(bytes([0x80]) * n, "little")
-    # Every d_i = +1: each field holds 128 + the column sum.
-    start = int.from_bytes(bytes([_BIAS]) * n, "little") + sum(fields)
-
-    varying = fields[1:]  # d_1 stays +1
-    low_rows, high_rows = varying[:_LOW_BITS], varying[_LOW_BITS:]
-    # (offset, parity of flipped rows plus n) for each low sign vector
-    low = [(0, n & 1)]
-    for f in low_rows:
-        low += [(off - 2 * f, odd ^ 1) for off, odd in low]
-    # With one Gray step (n <= _LOW_BITS + 1) each table would be read once;
-    # building it costs about what it saves there, and more at small n.
-    masks = _zero_masks(start, low, n) if high_rows else []
-
+def _gray_sum(base: int, high: list, low: list, masks: list, n: int) -> int:
+    """The signed sum of the terms reached from `base`, the field state of
+    the rows that stay fixed, by a Gray code over the rows whose doubled
+    fields `high` lists, each step adding the terms of every low entry; a
+    term's sign counts only the rows this walk flips."""
     prod, abs_table, compress = math.prod, _ABS, itertools.compress
+    top_bits = int.from_bytes(bytes([0x80]) * n, "little")
     total = 0
-    base = start
-    flipped = 0  # high rows currently at d_i = -1, as a bitmask
-    for k in range(1 << len(high_rows)):
+    flipped = 0  # rows of `high` currently at d_i = -1, as a bitmask
+    for k in range(1 << len(high)):
         if k:
             bit = k & -k
-            f = 2 * high_rows[bit.bit_length() - 1]
+            f = high[bit.bit_length() - 1]
             base += f if flipped & bit else -f
             flipped ^= bit
         terms = low
@@ -121,4 +123,77 @@ def ryser_permanent(rows) -> int:
             if p:
                 acc += -p if (odd + (y & top_bits).bit_count()) & 1 else p
         total += -acc if flipped.bit_count() & 1 else acc
+    return total
+
+
+def _split_sum(walk, base: int, last: int) -> int:
+    """walk(base) - walk(base - last): the Gray code's two halves, the
+    second, where the last Gray-coded row is flipped, in a forked child
+    that sends its sum back through a pipe.  When the pipe or the fork
+    cannot be made, this process walks both halves."""
+    pipe = ()
+    try:
+        pipe = os.pipe()
+        pid = os.fork()
+    except OSError:
+        for fd in pipe:
+            os.close(fd)
+        return walk(base) - walk(base - last)
+    r, w = pipe
+    if not pid:
+        status = 1
+        try:
+            os.close(r)
+            os.write(w, str(walk(base - last)).encode())
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    try:
+        own = walk(base)
+        sent = os.read(r, 4096)  # one write of under PIPE_BUF bytes arrives whole
+    finally:
+        os.close(r)
+        status = os.waitpid(pid, 0)[1]
+    if status:
+        raise RuntimeError(f"Ryser's child process ended with wait status {status}")
+    return own - int(sent)
+
+
+def ryser_permanent(rows) -> int:
+    """Permanent of the n x n 0/1 matrix whose entry (i, j) is bit j of
+    rows[i], as `BipartiteGraph.rows` holds it; exact up to its guard."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    guard("Ryser", n)
+    gray = n > _LOW_BITS + 1  # some sign rows are left to the Gray code
+    if gray:
+        # perm(A) = perm(A^T): run on the side with more even columns, which
+        # cancel more terms.  A's odd columns are the set bits of its rows' XOR.
+        odd_columns = functools.reduce(operator.xor, rows).bit_count()
+        if sum(r.bit_count() & 1 for r in rows) < odd_columns:
+            rows = [sum(1 << i for i, r in enumerate(rows) if r >> j & 1) for j in range(n)]
+    # Row i spread into the 8-bit fields: column j's entry at bit 8j.
+    fields = [sum(1 << 8 * j for j in range(n) if r >> j & 1) for r in rows]
+    # Every d_i = +1: each field holds 128 + the column sum.
+    start = int.from_bytes(bytes([_BIAS]) * n, "little") + sum(fields)
+
+    varying = fields[1:]  # d_1 stays +1
+    low_rows, high = varying[:_LOW_BITS], [2 * f for f in varying[_LOW_BITS:]]
+    # (offset, parity of flipped rows plus n) for each low sign vector
+    low = [(0, n & 1)]
+    for f in low_rows:
+        low += [(off - 2 * f, odd ^ 1) for off, odd in low]
+    # With one Gray step (n <= _LOW_BITS + 1) each table would be read once;
+    # building it costs about what it saves there, and more at small n.
+    masks = _zero_masks(start, low, n) if gray else []
+
+    # The CPUs that `taskset` leaves this process; only Linux can say.
+    split = len(high) >= _SPLIT_ROWS and hasattr(os, "sched_getaffinity")
+    if split and len(os.sched_getaffinity(0)) > 1:
+        last = high.pop()
+        total = _split_sum(lambda base: _gray_sum(base, high, low, masks, n), start, last)
+    else:
+        total = _gray_sum(start, high, low, masks, n)
     return total >> (n - 1)

@@ -5,8 +5,10 @@ graph's rows; the tests build 0/1 matrices as lists and pass them through
 `relabel.bitmasks`.
 """
 
+import errno
 import itertools
 import math
+import os
 import random
 
 import pytest
@@ -59,6 +61,37 @@ def derangements(n):
     for k in range(2, n + 1):
         d.append((k - 1) * (d[-1] + d[-2]))
     return d[n]
+
+
+def transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def even_columns(a):
+    """The number of columns of a with an even number of ones."""
+    return sum(sum(col) % 2 == 0 for col in zip(*a))
+
+
+def nonzero_terms(a):
+    """The number of Glynn terms of a, d_1 = +1, with no zero column sum."""
+    n = len(a)
+    nonzero = 0
+    for signs in itertools.product((1, -1), repeat=n - 1):
+        d = (1,) + signs
+        nonzero += all(sum(d[i] * a[i][j] for i in range(n)) for j in range(n))
+    return nonzero
+
+
+def even_rows_odd_columns(n, seed):
+    """A random n x n 0/1 matrix, n even, whose rows all have an even number
+    of ones and whose columns all have an odd number."""
+    a = random_rows(n, 0.5, seed)
+    for v in range(n - 1):
+        a[v][n - 1] = sum(a[v][: n - 1]) % 2
+    for w in range(n - 1):
+        a[n - 1][w] = 1 - sum(a[v][w] for v in range(n - 1)) % 2
+    a[n - 1][n - 1] = sum(a[n - 1][: n - 1]) % 2
+    return a
 
 
 class TestRyser:
@@ -154,18 +187,97 @@ class TestZeroColumnSkip:
     @pytest.mark.parametrize(
         "a",
         [random_rows(11, 0.5, 1), random_rows(12, 0.3, 2), shuffled(12, (), 3),
-         shuffled(12, (0,), 4)],
-        ids=["random11", "random12", "J12", "J-I12"],
+         shuffled(12, (0,), 4), even_rows_odd_columns(12, 5)],
+        ids=["random11", "random12", "J12", "J-I12", "even-rows12"],
     )
     def test_evaluates_exactly_the_nonzero_terms(self, a, monkeypatch):
-        n = len(a)
-        nonzero = 0
-        for signs in itertools.product((1, -1), repeat=n - 1):
-            d = (1,) + signs
-            nonzero += all(sum(d[i] * a[i][j] for i in range(n)) for j in range(n))
+        # The kernel runs on the transpose when it has more even columns.
+        side = transpose(a) if even_columns(transpose(a)) > even_columns(a) else a
         bits = bitmasks(a)
         calls = []
         prod = math.prod
         monkeypatch.setattr(math, "prod", lambda xs: calls.append(1) or prod(xs))
         assert kernels.ryser_permanent(bits) == dp_permanent(bits)
-        assert len(calls) == nonzero
+        assert len(calls) == nonzero_terms(side)
+
+    def test_only_the_transpose_of_even_rows_odd_columns_skips(self):
+        # every column odd: no term of A is 0, but some of A^T's are
+        a = even_rows_odd_columns(12, 5)
+        assert even_columns(a) == 0 and even_columns(transpose(a)) == 12
+        assert nonzero_terms(transpose(a)) < nonzero_terms(a) == 2**11
+
+    @pytest.mark.parametrize("n", [22, 23, 24])
+    def test_shuffled_upper_triangle_has_one_matching(self, n):
+        # the top of the guard: one term in 2^(n-1) survives the sum
+        rnd = random.Random(n)
+        rows, cols = rnd.sample(range(n), n), rnd.sample(range(n), n)
+        a = [[int(w >= v) for w in cols] for v in rows]
+        assert kernels.ryser_permanent(bitmasks(a)) == 1
+
+
+class TestSplit:
+    """From n = 15, with two CPUs, a forked child walks half of the Gray
+    code and sends its sum back through a pipe."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids os.fork returns in this process, on a host of two CPUs."""
+        pids = []
+        fork = os.fork
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "fork", lambda: pids.append(fork()) or pids[-1])
+        return pids
+
+    def test_child_is_reaped_and_its_pipe_closed(self, forks):
+        fds = os.listdir("/proc/self/fd")
+        assert kernels.ryser_permanent(bitmasks(shuffled(16, (0,), 16))) == derangements(16)
+        assert len(forks) == 1 and forks[0] > 0
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert os.listdir("/proc/self/fd") == fds
+
+    @pytest.mark.parametrize("n", [15, 16, 17, 18])
+    def test_split_matches_subset_dp(self, n, forks):
+        a = random_rows(n, 0.5, 7 * n)
+        bits = bitmasks(a)
+        assert kernels.ryser_permanent(bits) == dp_permanent(bits)
+        assert len(forks) == 1
+
+    def test_failed_fork_walks_both_halves_here(self, monkeypatch):
+        def refuse():
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "fork", refuse)
+        fds = os.listdir("/proc/self/fd")
+        assert kernels.ryser_permanent(bitmasks(shuffled(16, (0,), 16))) == derangements(16)
+        assert kernels.ryser_permanent(bitmasks(shuffled(15, (), 15))) == math.factorial(15)
+        a = random_rows(17, 0.5, 3)
+        assert kernels.ryser_permanent(bitmasks(a)) == dp_permanent(bitmasks(a))
+        assert os.listdir("/proc/self/fd") == fds
+
+    def test_failed_child_raises(self, monkeypatch, forks):
+        parent, walk = os.getpid(), kernels._gray_sum
+
+        def fail_in_child(*args):
+            if os.getpid() != parent:
+                raise MemoryError
+            return walk(*args)
+
+        monkeypatch.setattr(kernels, "_gray_sum", fail_in_child)
+        with pytest.raises(RuntimeError, match="child process ended with wait status 256$"):
+            kernels.ryser_permanent(bitmasks(shuffled(16, (0,), 16)))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_one_cpu_never_forks(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked on one CPU"))
+        assert kernels.ryser_permanent(bitmasks(shuffled(17, (0,), 17))) == derangements(17)
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_below_fifteen_never_forks(self, n, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail(f"forked at n = {n}"))
+        bits = bitmasks(random_rows(n, 0.6, n))
+        assert kernels.ryser_permanent(bits) == dp_permanent(bits)
