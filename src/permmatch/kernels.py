@@ -36,13 +36,15 @@ The split.  From n = 15 (_SPLIT_ROWS Gray-coded rows), when the process may
 run on at least two CPUs, the Gray code is cut in two at its last row.  A
 forked child walks the half where that row has d_i = -1 and writes its sum
 to a pipe; this process walks the other half, reads the child's sum and
-reaps the child, and a nonzero child status raises.  The child ends with
-os._exit because it holds copies of this process's unflushed stdio buffers
-and atexit hooks, which a normal exit would flush or run a second time.  It
-runs only the walk, over ints it already holds, so a caller's other threads
-cannot leave it a lock to wait on.  Below n = 15 the fork, the child's start
-and its exit (about 2 ms together) cost more than half the walk saves.  When
-the pipe or the fork cannot be made, this process walks both halves.
+reaps the child.  The child ends with os._exit because it holds copies of
+this process's unflushed stdio buffers and atexit hooks, which a normal
+exit would flush or run a second time.  It runs only the walk, over ints it
+already holds, so a caller's other threads cannot leave it a lock to wait
+on.  Below n = 15 the fork, the child's start and its exit (about 2 ms
+together) cost more than half the walk saves.  When the pipe or the fork
+cannot be made, or the child ends with a nonzero status (killed, say, or
+out of memory), this process walks the child's half too: a failed child
+costs time, never the count.
 """
 
 import functools
@@ -130,7 +132,8 @@ def _split_sum(walk, base: int, last: int) -> int:
     """walk(base) - walk(base - last): the Gray code's two halves, the
     second, where the last Gray-coded row is flipped, in a forked child
     that sends its sum back through a pipe.  When the pipe or the fork
-    cannot be made, this process walks both halves."""
+    cannot be made, or the child fails, this process walks the child's
+    half too."""
     pipe = ()
     try:
         pipe = os.pipe()
@@ -156,7 +159,7 @@ def _split_sum(walk, base: int, last: int) -> int:
         os.close(r)
         status = os.waitpid(pid, 0)[1]
     if status:
-        raise RuntimeError(f"Ryser's child process ended with wait status {status}")
+        return own - walk(base - last)
     return own - int(sent)
 
 

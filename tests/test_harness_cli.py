@@ -2,6 +2,7 @@
 
 import contextlib
 import errno
+import hashlib
 import io
 import json
 import math
@@ -44,7 +45,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 ASCII_TEXT = st.text(st.characters(max_codepoint=127))
 
 
-def run_python(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, **kwargs):
+def run_python(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, **kwargs):
     """Run a fresh interpreter that imports this checkout's permmatch, its
     stdio buffered as by default whatever PYTHONUNBUFFERED says here;
     kwargs go to subprocess.run."""
@@ -52,7 +53,7 @@ def run_python(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, **kwargs):
     env.pop("PYTHONUNBUFFERED", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *args], env=env, stdout=stdout, stderr=stderr, text=True, **kwargs
+        [sys.executable, *args], env=env, stdout=stdout, stderr=stderr, text=text, **kwargs
     )
 
 
@@ -298,12 +299,15 @@ class TestCli:
         non_ascii.write_bytes("\u0662\n1\n1\n".encode("utf-8"))
         bad = tmp_path / "bad.txt"
         bad.write_text("2\n1x\n11\n")
+        zero_led = tmp_path / "zero.txt"
+        zero_led.write_text("02\n11\n11\n")
         reasons = {
             tmp_path / "missing.txt": os.strerror(errno.ENOENT),
             tmp_path: os.strerror(errno.EISDIR),
             non_ascii: "'ascii' codec can't decode byte 0xd9 in position 0: "
             "ordinal not in range(128)",
             bad: "row 1 has characters outside 0/1: ['x']",
+            zero_led: "bad header line '02'; expected decimal n",
         }
         for path, reason in reasons.items():
             for argv in (["verify", str(path)], ["count", "--method", "ryser", str(path)]):
@@ -331,14 +335,16 @@ class TestCli:
         assert report["graph"] == "2\n11\n01\n"
 
     def test_count_methods_agree(self, tmp_path, capsys):
-        path = self.write_graph(
-            tmp_path, serialize_graph(random_graph(5, 0.6, 77))
-        )
-        counts = []
-        for method in ("cvmp", "ryser", "brute"):
-            assert main(["count", "--method", method, path]) == 0
-            counts.append(int(capsys.readouterr().out))
-        assert counts[0] == counts[1] == counts[2]
+        # at n = 9 brute force runs over all of S_9
+        for n, density, seed in [(5, 0.6, 77), (9, 0.5, 7)]:
+            path = self.write_graph(
+                tmp_path, serialize_graph(random_graph(n, density, seed))
+            )
+            counts = []
+            for method in ("cvmp", "ryser", "brute"):
+                assert main(["count", "--method", method, path]) == 0
+                counts.append(int(capsys.readouterr().out))
+            assert counts[0] == counts[1] == counts[2]
 
     def test_sweep_exhaustive(self, capsys):
         assert main(["sweep", "--n", "2", "--exhaustive"]) == 0
@@ -435,14 +441,16 @@ class TestCli:
 
     def test_factorize_figure_path(self, capsys):
         assert main(["factorize", "--n", "4", "(1,2,4,3)"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[1] == "(12,31)(24,32)(34,43)(44,44)"
+        assert capsys.readouterr() == ("I*(3,4)*(2,4)*(1,2)\n(12,31)(24,32)(34,43)(44,44)\n", "")
 
     def test_factorize_identity(self, capsys):
         assert main(["factorize", "--n", "3", "()"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "I*I*I"
-        assert lines[1] == "(11,11)(22,22)(33,33)"
+        assert capsys.readouterr() == ("I*I*I\n(11,11)(22,22)(33,33)\n", "")
+
+    def test_factorize_two_cycles(self, capsys):
+        assert main(["factorize", "--n", "5", "(1,3,2)(4,5)"]) == 0
+        out = "I*(4,5)*I*(2,3)*(1,3)\n(13,21)(23,32)(33,33)(45,54)(55,55)\n"
+        assert capsys.readouterr() == (out, "")
 
     def test_factorize_non_ascii_digit_exits_2(self, capsys):
         assert main(["factorize", "--n", "3", "(1,\u0663)"]) == 2
@@ -626,6 +634,19 @@ class TestCli:
         assert main(["gamma", "--n", "8", "--stats"]) == 0
         assert json.loads(capsys.readouterr().out)["valid_paths"] is None
 
+    def test_gamma_stats_at_the_enumeration_and_build_guards(self, capsys):
+        # valid paths are counted up to n = 7, the graph is built up to 12
+        keys = ["n", "node_count", "r_edge_count", "s_edge_count", "valid_paths",
+                "unconstrained_walks"]
+        for values in ([7, 98, 231, 700, 5040, 55112],
+                       [12, 518, 2486, 20449, None, 18392167676352]):
+            assert main(["gamma", "--n", str(values[0]), "--stats"]) == 0
+            assert json.loads(capsys.readouterr().out) == dict(zip(keys, values))
+
+    def test_gamma_past_build_guard_exits_2(self, capsys):
+        assert main(["gamma", "--n", "13", "--stats"]) == 2
+        assert capsys.readouterr() == ("", "error: build is guarded at 1 <= n <= 12\n")
+
     def test_exhaustive_sweep_with_seed_exits_2(self, capsys):
         assert main(["sweep", "--n", "3", "--exhaustive", "--seed", "4"]) == 2
         captured = capsys.readouterr()
@@ -707,10 +728,11 @@ class TestCli:
         assert f"error: {path}: bad header line {header!r}" in captured.err
 
     def test_gen_negative_n_exits_2(self, capsys):
-        assert main(["gen", "--n", "-1", "--density", "0.5", "--seed", "0"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: gen is guarded at 1 <= n <= 24\n"
+        for n in ("-1", "0"):
+            assert main(["gen", "--n", n, "--density", "0.5", "--seed", "0"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: gen is guarded at 1 <= n <= 24\n"
 
     def test_gen_negative_seed_exits_2(self, capsys):
         assert main(["gen", "--n", "3", "--density", "0.5", "--seed", "-1"]) == 2
@@ -911,6 +933,73 @@ class TestCli:
         ])
         assert run_python(["-c", script]).returncode == 1
 
+    def test_installed_script_runs_what_python_m_runs(self):
+        # the `permmatch` script and `python -m permmatch` both call
+        # cli.entry, so a fresh `python -m permmatch` process stands for the
+        # installed script; a line match, since Python 3.10 has no tomllib
+        pyproject = (SRC.parent / "pyproject.toml").read_text()
+        assert re.search(r'^\[project\.scripts\]\npermmatch = "permmatch\.cli:entry"$',
+                         pyproject, re.M)
+        main_py = (SRC / "permmatch" / "__main__.py").read_text()
+        assert main_py == "from .cli import entry\n\nentry()\n"
+
+    def test_cold_verify_imports_in_a_fresh_process(self, tmp_path):
+        # -X importtime lists each module the import system loads: verify
+        # runs through permmatch.cli and loads neither json, __future__, the
+        # ASCII codec nor the PCG stream
+        path = self.write_graph(tmp_path, serialize_graph(random_graph(5, 0.5, 7)))
+        result = run_python(["-X", "importtime", "-m", "permmatch", "verify", path])
+        assert result.returncode == 0
+        imported = re.findall(r"^import time: .*\| +(\S+)$", result.stderr, re.M)
+        assert "permmatch.cli" in imported
+        forbidden = ("json", "__future__", "encodings.ascii", "permmatch.pcg")
+        loaded = [m for m in imported if any(m == f or m.startswith(f + ".") for f in forbidden)]
+        assert loaded == []
+
+    def test_killed_kernel_child_changes_no_byte(self, tmp_path):
+        # J - I at n = 16 splits the permanent's sum on two CPUs; a child
+        # killed by SIGKILL leaves its half to this process, so the count,
+        # the exit status and stderr are those of a run that forks nothing
+        j_minus_i = BipartiteGraph(16, bitmasks(shuffled(16, (0,), 16)))
+        path = self.write_graph(tmp_path, serialize_graph(j_minus_i))
+        killed = tmp_path / "killed"
+        script = "\n".join([
+            "import os, signal, sys",
+            "from permmatch import cli, kernels",
+            "parent, walk = os.getpid(), kernels._gray_sum",
+            "def killed_in_child(*args):",
+            "    if os.getpid() != parent:",
+            f"        open({str(killed)!r}, 'w').close()",
+            "        os.kill(os.getpid(), signal.SIGKILL)",
+            "    return walk(*args)",
+            "kernels._gray_sum = killed_in_child",
+            "os.sched_getaffinity = lambda pid: {0, 1}  # two CPUs on any host",
+            f"sys.argv = ['permmatch', 'count', '--method', 'ryser', {path!r}]",
+            "cli.entry()",
+        ])
+        result = run_python(["-c", script])
+        assert (result.returncode, result.stdout, result.stderr) == (0, "7697064251745\n", "")
+        assert killed.exists()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no sched_setaffinity")
+    def test_one_cpu_count_forks_nothing(self, tmp_path):
+        # a process pinned to one of its CPUs, as `taskset -c 0` pins it,
+        # walks the whole sum itself and prints what the split prints
+        j_minus_i = BipartiteGraph(17, bitmasks(shuffled(17, (0,), 17)))
+        path = self.write_graph(tmp_path, serialize_graph(j_minus_i))
+        cpu = min(os.sched_getaffinity(0))
+        script = "\n".join([
+            "import os, sys",
+            "from permmatch import cli",
+            "def fork():",
+            "    raise AssertionError('forked on one CPU')",
+            "os.fork = fork",
+            f"sys.argv = ['permmatch', 'count', '--method', 'ryser', {path!r}]",
+            "cli.entry()",
+        ])
+        result = run_python(["-c", script], preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
+        assert (result.returncode, result.stdout, result.stderr) == (0, "130850092279664\n", "")
+
     def test_closed_stdout_exits_141_silently(self, tmp_path):
         # the reader quit before the output was written, as `| head -1` does;
         # 141 is the status a shell reports for a process SIGPIPE ended
@@ -1010,6 +1099,41 @@ class TestCli:
         assert main(["sweep", "--n", "2", "--exhaustive"]) == 1
         report = json.loads(capsys.readouterr().out)
         assert report["agreement"] is False and len(report["mismatches"]) == 8
+
+
+# sha256 of the stdout of `permmatch ARGV`; a changed byte changes a report.
+PINNED = [
+    (["gen", "--n", "12", "--density", "0.37", "--seed", "123"],
+     "f20f598acb561885590fd6f4f79c11cf27efa6cf233e1efef9d06721cff20822"),
+    (["sweep", "--n", "5", "--trials", "20", "--seed", "3"],
+     "16f90111b047b9e259912e31dab4bcae1c51c36bfe9d2a3430cbf9cd0ba9636a"),
+    (["sweep", "--n", "3", "--exhaustive"],
+     "45dd2c1633e08168f06e5580cb42dfccb20379d7cc01b073321bbf6f29782812"),
+    (["gamma", "--n", "4", "--stats"],
+     "73ead8e83fd68fa764b7d37dccbf81dde8458cc4e5b39279bb34335ca29f959e"),
+    (["gamma", "--n", "8", "--dot"],
+     "89e02635d587bcf1ffd6c662f1ccd9caa4b3531bccf15c2946b6e11d7a77ac92"),
+]
+
+
+class TestPinnedOutput:
+    """Report bytes, as a fresh `python -m permmatch` process writes them."""
+
+    @pytest.mark.parametrize("argv, digest", PINNED, ids=[" ".join(a) for a, _ in PINNED])
+    def test_stdout_bytes(self, argv, digest):
+        result = run_python(["-m", "permmatch", *argv], text=False)
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert hashlib.sha256(result.stdout).hexdigest() == digest
+
+    def test_verify_report_bytes_but_the_timings(self, tmp_path):
+        path = tmp_path / "g6.txt"
+        path.write_text(serialize_graph(random_graph(6, 0.5, 7)))
+        result = run_python(["-m", "permmatch", "verify", str(path)], text=False)
+        assert (result.returncode, result.stderr) == (0, b"")
+        report = result.stdout.decode("ascii")
+        assert list(json.loads(report)["elapsed"]) == ["cvmp", "bruteforce", "ryser"]
+        digest = hashlib.sha256(blank_elapsed(report).encode()).hexdigest()
+        assert digest == "b3c35b48bf82cf1ace7d628762295e98f0d3eef120cf03294cef1fe2ed0f147f"
 
 
 # One valid, cheap argv for each command and mode; FILE is a graph file.

@@ -10,6 +10,7 @@ import itertools
 import math
 import os
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings
@@ -256,19 +257,31 @@ class TestSplit:
         assert kernels.ryser_permanent(bitmasks(a)) == dp_permanent(bitmasks(a))
         assert os.listdir("/proc/self/fd") == fds
 
-    def test_failed_child_raises(self, monkeypatch, forks):
+    def test_failed_child_half_is_walked_here(self, monkeypatch, forks):
+        # a child killed by a signal, or ending with status 1 after an
+        # exception, costs a second walk here, not the count
         parent, walk = os.getpid(), kernels._gray_sum
 
-        def fail_in_child(*args):
-            if os.getpid() != parent:
-                raise MemoryError
-            return walk(*args)
+        def killed():
+            os.kill(os.getpid(), signal.SIGKILL)
 
-        monkeypatch.setattr(kernels, "_gray_sum", fail_in_child)
-        with pytest.raises(RuntimeError, match="child process ended with wait status 256$"):
-            kernels.ryser_permanent(bitmasks(shuffled(16, (0,), 16)))
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        def raised():
+            raise MemoryError
+
+        for fail in (killed, raised):
+            def fail_in_child(*args):
+                if os.getpid() != parent:
+                    fail()
+                return walk(*args)
+
+            monkeypatch.setattr(kernels, "_gray_sum", fail_in_child)
+            fds = os.listdir("/proc/self/fd")
+            assert kernels.ryser_permanent(bitmasks(shuffled(16, (0,), 16))) == derangements(16)
+            assert len(forks) == 1, fail.__name__
+            forks.clear()
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+            assert os.listdir("/proc/self/fd") == fds, fail.__name__
 
     def test_one_cpu_never_forks(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
