@@ -6,13 +6,13 @@ import sys
 DIGITS = len(str(sys.maxsize))  # the longest number any parser reads: no larger n fits a row
 
 LIMITS = {
-    "cvmp": 9,  # the pruned walk has n! leaves on K_n
+    "cvmp": 9,  # verify's reach, not a cost: the walk holds at most 2^n column sets
     "brute force": 9,  # time, not memory: n!/8! passes over the S_8 table
     "Ryser": 24,  # 2^(n-1) Glynn terms: J_24 takes 3.2-4.4 s on two CPUs, 4.8-5.6 s on one
     "sweep": 7,  # every instance runs all three counters
     "exhaustive sweep": 4,  # 2^(n*n) graphs
     "build": 12,  # S edges: 6,801 at n = 10, 20,449 at n = 12
-    "enumeration": 7,  # yields all n! paths; also caps gamma --stats' valid_paths
+    "enumeration": 7,  # enumerate_cvmps yields all n! paths
     "DOT export": 8,  # 2,244 lines at n = 8
     "factorize": 9,  # past 9 a node label such as (1010,1010) is ambiguous
 }

@@ -20,8 +20,8 @@ stabilizer of row 1, one per image c of row 1: rows 2..9 are ANDed over
 the S_8 table with its columns read as the eight columns other than c.
 Nothing is pruned: every row's OR is formed and ANDed whatever the rows
 before it left, and every coset's AND is formed before row 1's edge to c
-is tested, so brute force stays independent of the pruned walk that path
-counting runs.
+is tested, so brute force stays independent of path counting, which drops
+prefixes and merges those that leave the same columns open.
 """
 
 import math
@@ -130,7 +130,7 @@ def count_bruteforce(g: BipartiteGraph) -> int:
     table of S_8 per image c of row 1, in itertools order: rows 2..9 with
     column c taken out, which is block c of the S_9 AND, bit for bit.  No
     row or block is skipped when the AND is already empty, which keeps
-    this count independent of the pruned walk.
+    this count independent of path counting's level walk.
     """
     guard("brute force", g.n)
     n = g.n

@@ -308,7 +308,7 @@ def unconstrained_walk_count(gamma: GammaGraph) -> int:
 def gamma_stats(n: int) -> dict:
     """Shape numbers for the generating graph at n, as `permmatch gamma
     --stats` prints them: n, node_count, r_edge_count, s_edge_count,
-    valid_paths (None past LIMITS["enumeration"]) and unconstrained_walks.
+    valid_paths (None past LIMITS["cvmp"]) and unconstrained_walks.
 
     unconstrained_walks counts level-1-to-n walks that only follow R/S edges
     between consecutive levels, ignoring the suffix-product constraint; it is
@@ -316,7 +316,7 @@ def gamma_stats(n: int) -> dict:
     """
     gamma = build_gamma(n)
     complete = BipartiteGraph.complete(n)
-    valid = harness.count_via_cvmp(complete) if n <= LIMITS["enumeration"] else None
+    valid = harness.count_via_cvmp(complete) if n <= LIMITS["cvmp"] else None
     return {
         "n": n,
         "node_count": len(gamma.nodes),

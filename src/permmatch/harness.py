@@ -1,9 +1,12 @@
 """Verification harness: path-qualification counting, cross-checks, sweeps.
 
-`count_via_cvmp` counts perfect matchings the paper's way: it walks the
+`count_via_cvmp` counts perfect matchings the paper's way: it extends the
 valid paths of the generating graph level by level in sift order and counts
-those whose edge requirement against the instance is empty, pruning every
-prefix whose requirement is already non-empty.  The harness compares that
+those whose edge requirement against the instance is empty, dropping every
+prefix whose requirement is already non-empty.  Which suffixes complete a
+prefix depends only on the columns it left open, so prefixes that leave the
+same columns open are merged into one count: one pass over the levels, with
+no prefix's continuations walked twice.  The harness compares that
 count against the brute-force and Ryser oracles; a disagreement is a
 first-class outcome and gets embedded, with the full graph text, in the
 report so it can be replayed.
@@ -25,30 +28,30 @@ def count_via_cvmp(g: BipartiteGraph) -> int:
     A valid path picks psi_j = (j, k), k >= j, at each chain level j and
     multiplies out to q(v) = psi_1(...psi_n(v)).  Levels above j fix every
     v <= j, so once psi_1..psi_j are chosen q(v) = psi_1(...psi_j(v)) is
-    final for v <= j: the prefix already requires edge (j, q(j)), and when g
-    lacks it the whole subtree has a non-empty edge requirement and is
-    pruned.  The columns still open at level j are the images of j..n under
-    psi_1...psi_(j-1), held as a bitmask; choosing column c = q(j) is
-    choosing psi_j, and removes c for the levels below.  Each leaf is one
-    valid path with an empty requirement, so the count is exact, with n!
-    leaves in the worst case (K_{n,n}).
+    final for v <= j: the prefix already requires edge (j, q(j)), and a
+    prefix whose requirement is non-empty is dropped.  The columns still
+    open at level j are the images of j..n under psi_1...psi_(j-1), held as
+    a bitmask; choosing column c = q(j) is choosing psi_j, and removes c
+    for the levels below.
+
+    Which suffixes complete a prefix depends only on the columns it left
+    open, so prefixes that leave the same columns open are merged: `ways`
+    maps each open-column set to the number of prefixes with an empty
+    requirement that leave it, at most C(n, j) sets after level j, and the
+    count is the sum over the last level.
     """
     guard("cvmp", g.n)
-    rows = g.rows
-    last = g.n - 1
-
-    def walk(j: int, free: int) -> int:  # rows[j] is level j + 1
-        if j == last:
-            return 1 if rows[j] & free else 0
-        total = 0
-        open_cols = rows[j] & free
-        while open_cols:
-            c = open_cols & -open_cols
-            open_cols ^= c
-            total += walk(j + 1, free ^ c)
-        return total
-
-    return walk(0, (1 << g.n) - 1)
+    ways = {(1 << g.n) - 1: 1}
+    for row in g.rows:  # level j + 1 for rows[j]
+        nxt = {}
+        for free, count in ways.items():
+            open_cols = row & free
+            while open_cols:
+                c = open_cols & -open_cols
+                open_cols ^= c
+                nxt[free ^ c] = nxt.get(free ^ c, 0) + count
+        ways = nxt
+    return sum(ways.values())
 
 
 def _instance_counts(g: BipartiteGraph) -> tuple[dict, dict]:

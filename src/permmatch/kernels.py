@@ -40,7 +40,9 @@ reaps the child.  The child ends with os._exit because it holds copies of
 this process's unflushed stdio buffers and atexit hooks, which a normal
 exit would flush or run a second time.  It runs only the walk, over ints it
 already holds, so a caller's other threads cannot leave it a lock to wait
-on.  Below n = 15 the fork, the child's start and its exit (about 2 ms
+on.  Every 256 Gray steps it checks that this process is still its parent
+and exits 1 when it is not, so a count killed by a signal leaves no child
+computing.  Below n = 15 the fork, the child's start and its exit (about 2 ms
 together) cost more than half the walk saves.  When the pipe or the fork
 cannot be made, or the child ends with a nonzero status (killed, say, or
 out of memory), this process walks the child's half too: a failed child
@@ -63,6 +65,7 @@ _BIAS = 128  # field value of a zero column sum; |s_j| <= 24 stays in 0..255
 _ABS = bytes(abs(b - _BIAS) for b in range(256))
 _LIVE = bytes([1]) + bytes(255)  # flag byte 0 (no zero column sum) -> live
 _SPLIT_ROWS = 6  # Gray-coded rows (n >= 15) from which a forked child pays
+_POLL = 255  # a forked child checks for its parent when k & _POLL is 0
 
 
 def _zero_masks(start: int, low: list, n: int) -> list:
@@ -94,17 +97,22 @@ def _zero_masks(start: int, low: list, n: int) -> list:
     return masks
 
 
-def _gray_sum(base: int, high: list, low: list, masks: list, n: int) -> int:
+def _gray_sum(base: int, high: list, low: list, masks: list, n: int, parent: int = 0) -> int:
     """The signed sum of the terms reached from `base`, the field state of
     the rows that stay fixed, by a Gray code over the rows whose doubled
     fields `high` lists, each step adding the terms of every low entry; a
-    term's sign counts only the rows this walk flips."""
+    term's sign counts only the rows this walk flips.
+
+    A forked child passes its parent's pid as `parent`, and the walk raises
+    ChildProcessError once that process is no longer its parent."""
     prod, abs_table, compress = math.prod, _ABS, itertools.compress
     top_bits = int.from_bytes(bytes([0x80]) * n, "little")
     total = 0
     flipped = 0  # rows of `high` currently at d_i = -1, as a bitmask
     for k in range(1 << len(high)):
         if k:
+            if parent and not k & _POLL and os.getppid() != parent:
+                raise ChildProcessError(f"parent process {parent} is gone")
             bit = k & -k
             f = high[bit.bit_length() - 1]
             base += f if flipped & bit else -f
@@ -131,9 +139,11 @@ def _gray_sum(base: int, high: list, low: list, masks: list, n: int) -> int:
 def _split_sum(walk, base: int, last: int) -> int:
     """walk(base) - walk(base - last): the Gray code's two halves, the
     second, where the last Gray-coded row is flipped, in a forked child
-    that sends its sum back through a pipe.  When the pipe or the fork
-    cannot be made, or the child fails, this process walks the child's
-    half too."""
+    that sends its sum back through a pipe.  The child's walk is passed
+    this process's pid, so that it stops when this process is gone.  When
+    the pipe or the fork cannot be made, or the child fails, this process
+    walks the child's half too."""
+    parent = os.getpid()
     pipe = ()
     try:
         pipe = os.pipe()
@@ -147,7 +157,7 @@ def _split_sum(walk, base: int, last: int) -> int:
         status = 1
         try:
             os.close(r)
-            os.write(w, str(walk(base - last)).encode())
+            os.write(w, str(walk(base - last, parent)).encode())
             status = 0
         finally:
             os._exit(status)
@@ -196,7 +206,9 @@ def ryser_permanent(rows) -> int:
     split = len(high) >= _SPLIT_ROWS and hasattr(os, "sched_getaffinity")
     if split and len(os.sched_getaffinity(0)) > 1:
         last = high.pop()
-        total = _split_sum(lambda base: _gray_sum(base, high, low, masks, n), start, last)
+        total = _split_sum(
+            lambda base, parent=0: _gray_sum(base, high, low, masks, n, parent), start, last
+        )
     else:
         total = _gray_sum(start, high, low, masks, n)
     return total >> (n - 1)

@@ -8,9 +8,11 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -45,15 +47,21 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 ASCII_TEXT = st.text(st.characters(max_codepoint=127))
 
 
-def run_python(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, **kwargs):
-    """Run a fresh interpreter that imports this checkout's permmatch, its
-    stdio buffered as by default whatever PYTHONUNBUFFERED says here;
-    kwargs go to subprocess.run."""
+def python_env():
+    """The environment of a fresh interpreter that imports this checkout's
+    permmatch, its stdio buffered as by default whatever PYTHONUNBUFFERED
+    says here."""
     env = dict(os.environ)
     env.pop("PYTHONUNBUFFERED", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+def run_python(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, **kwargs):
+    """Run a fresh interpreter in `python_env()`; kwargs go to subprocess.run."""
     return subprocess.run(
-        [sys.executable, *args], env=env, stdout=stdout, stderr=stderr, text=text, **kwargs
+        [sys.executable, *args], env=python_env(), stdout=stdout, stderr=stderr, text=text,
+        **kwargs
     )
 
 
@@ -379,7 +387,7 @@ class TestCli:
             (["sweep", "--n", "2", "--exhaustive"], sweep(2)),
             (["sweep", "--n", "3", "--trials", "4", "--seed", "2"], sweep(3, 4, 2)),
             (["gamma", "--n", "3", "--stats"], gamma_stats(3)),
-            (["gamma", "--n", "8", "--stats"], gamma_stats(8)),
+            (["gamma", "--n", "10", "--stats"], gamma_stats(10)),
         ]
         assert len(runs[0][1]["mismatches"]) == 8 and runs[3][1]["valid_paths"] is None
         for n in range(1, 10):
@@ -631,14 +639,18 @@ class TestCli:
         assert in_guard == []  # n = 25 is past every guard
 
     def test_gamma_stats_past_enumeration_guard(self, capsys):
-        assert main(["gamma", "--n", "8", "--stats"]) == 0
+        # valid paths are counted where path counting reaches, past the
+        # enumeration guard; the first n past the cvmp guard prints null
+        assert main(["gamma", "--n", "10", "--stats"]) == 0
         assert json.loads(capsys.readouterr().out)["valid_paths"] is None
 
     def test_gamma_stats_at_the_enumeration_and_build_guards(self, capsys):
-        # valid paths are counted up to n = 7, the graph is built up to 12
+        # valid paths are counted up to n = 9, the graph is built up to 12
         keys = ["n", "node_count", "r_edge_count", "s_edge_count", "valid_paths",
                 "unconstrained_walks"]
         for values in ([7, 98, 231, 700, 5040, 55112],
+                       [8, 148, 420, 1673, 40320, 1571216],
+                       [9, 213, 708, 3536, 362880, 61938768],
                        [12, 518, 2486, 20449, None, 18392167676352]):
             assert main(["gamma", "--n", str(values[0]), "--stats"]) == 0
             assert json.loads(capsys.readouterr().out) == dict(zip(keys, values))
@@ -980,6 +992,57 @@ class TestCli:
         result = run_python(["-c", script])
         assert (result.returncode, result.stdout, result.stderr) == (0, "7697064251745\n", "")
         assert killed.exists()
+
+    def test_killed_count_stops_its_kernel_child(self, tmp_path):
+        # K_24's split sum keeps a child busy for seconds; once its parent
+        # is killed, the child stops within a second, a zombie or gone
+        path = self.write_graph(tmp_path, serialize_graph(BipartiteGraph.complete(24)))
+        pid_file = tmp_path / "child"
+        script = "\n".join([
+            "import os, sys",
+            "from permmatch import cli",
+            "fork = os.fork",
+            "def fork_and_record():",
+            "    pid = fork()",
+            "    if pid:",
+            f"        with open({str(pid_file) + '.part'!r}, 'w') as f:",
+            "            f.write(str(pid))",
+            f"        os.rename({str(pid_file) + '.part'!r}, {str(pid_file)!r})",
+            "    return pid",
+            "os.fork = fork_and_record",
+            "os.sched_getaffinity = lambda pid: {0, 1}  # two CPUs on any host",
+            f"sys.argv = ['permmatch', 'count', '--method', 'ryser', {path!r}]",
+            "cli.entry()",
+        ])
+        parent = subprocess.Popen([sys.executable, "-c", script], env=python_env(),
+                                  stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        child = None
+        try:
+            deadline = time.monotonic() + 30
+            while not pid_file.exists():
+                assert parent.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            child = int(pid_file.read_text())
+            parent.kill()
+            parent.wait()
+            stat = Path(f"/proc/{child}/stat")
+            deadline = time.monotonic() + 1
+            while True:
+                try:
+                    # the state follows the command name, which ends in ")"
+                    state = stat.read_text().rsplit(")", 1)[1].split()[0]
+                except (FileNotFoundError, ProcessLookupError):
+                    break
+                if state == "Z":
+                    break
+                assert time.monotonic() < deadline, f"child {child} still in state {state}"
+                time.sleep(0.01)
+        finally:
+            parent.kill()
+            parent.wait()
+            if child is not None:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(child, signal.SIGKILL)
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no sched_setaffinity")
     def test_one_cpu_count_forks_nothing(self, tmp_path):
