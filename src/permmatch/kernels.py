@@ -32,21 +32,24 @@ Orientation.  perm(A) = perm(A^T), and the skip works on columns, so from
 n = _LOW_BITS + 2, where it starts, the kernel runs on A^T when A^T has more
 columns of even degree than A (that is, A has more rows of even degree).
 
-The split.  From n = 15 (_SPLIT_ROWS Gray-coded rows), when the process may
-run on at least two CPUs, the Gray code is cut in two at its last row.  A
-forked child walks the half where that row has d_i = -1 and writes its sum
-to a pipe; this process walks the other half, reads the child's sum and
-reaps the child.  The child ends with os._exit because it holds copies of
-this process's unflushed stdio buffers and atexit hooks, which a normal
-exit would flush or run a second time.  It runs only the walk, over ints it
-already holds, so a caller's other threads cannot leave it a lock to wait
-on.  Every 256 Gray steps it checks that this process is still its parent
-and exits 1 when it is not, so a count killed by a signal leaves no child
-computing.  Below n = 15 the fork, the child's start and its exit (about 2 ms
-together) cost more than half the walk saves.  When the pipe or the fork
-cannot be made, or the child ends with a nonzero status (killed, say, or
-out of memory), this process walks the child's half too: a failed child
-costs time, never the count.
+The split.  From n = 15 (_SPLIT_ROWS Gray-coded rows) the Gray code is cut
+in two at its last row, and the count ends one of two ways.  When the
+process may run on at least two CPUs, a forked child walks the half where
+that row has d_i = -1 and writes its sum to a pipe; this process walks the
+other half, and when the child's sum arrives it is subtracted.  Otherwise
+this process walks the second half itself: one CPU, a host that cannot
+report its CPUs, a pipe or fork that cannot be made, and a child that ends
+without sending (killed, say, or out of memory) all end there, so a failed
+child costs time, never the count.  The child ends with os._exit because
+it holds copies of this process's unflushed stdio buffers and atexit
+hooks, which a normal exit would flush or run a second time.  It runs only
+the walk, over ints it already holds, so a caller's other threads cannot
+leave it a lock to wait on.  Every 256 Gray steps it checks that this
+process is still its parent and exits 1 when it is not, so a count killed
+by a signal leaves no child computing.  When this process's own walk is
+interrupted (Ctrl-C, say), it kills the child before reaping it, so the
+interrupt ends both at once.  Below n = 15 the fork, the child's start and
+its exit (about 2 ms together) cost more than half the walk saves.
 """
 
 import functools
@@ -136,41 +139,45 @@ def _gray_sum(base: int, high: list, low: list, masks: list, n: int, parent: int
     return total
 
 
-def _split_sum(walk, base: int, last: int) -> int:
-    """walk(base) - walk(base - last): the Gray code's two halves, the
-    second, where the last Gray-coded row is flipped, in a forked child
-    that sends its sum back through a pipe.  The child's walk is passed
-    this process's pid, so that it stops when this process is gone.  When
-    the pipe or the fork cannot be made, or the child fails, this process
-    walks the child's half too."""
-    parent = os.getpid()
-    pipe = ()
-    try:
-        pipe = os.pipe()
-        pid = os.fork()
-    except OSError:
-        for fd in pipe:
-            os.close(fd)
-        return walk(base) - walk(base - last)
-    r, w = pipe
-    if not pid:
+def _split_sum(base: int, high: list, low: list, masks: list, n: int) -> int:
+    """_gray_sum's sum, cut in two at the last row of `high`.  This process
+    walks the half where that row stays at d_i = +1.  When the process may
+    run on two CPUs, a forked child walks the other half, passed this
+    process's pid so that it stops once this process is gone, and sends its
+    sum back through a pipe.  Either that sum arrives and is subtracted, or
+    this process walks the other half too.  When this process's walk or
+    read raises, the child is killed before it is reaped."""
+    *high, last = high
+    parent, pid, pipe, sent = os.getpid(), None, (), b""
+    # The CPUs that `taskset` leaves this process; only Linux can say.
+    if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1:
+        try:
+            pipe = os.pipe()
+            pid = os.fork()
+        except OSError:
+            pass
+    if pid == 0:
         status = 1
         try:
-            os.close(r)
-            os.write(w, str(walk(base - last, parent)).encode())
+            os.close(pipe[0])
+            os.write(pipe[1], str(_gray_sum(base - last, high, low, masks, n, parent)).encode())
             status = 0
         finally:
             os._exit(status)
-    os.close(w)
     try:
-        own = walk(base)
-        sent = os.read(r, 4096)  # one write of under PIPE_BUF bytes arrives whole
+        if pipe:
+            os.close(pipe[1])
+        own = _gray_sum(base, high, low, masks, n)
+        if pid:
+            sent = os.read(pipe[0], 4096)  # one write of under PIPE_BUF bytes arrives whole
     finally:
-        os.close(r)
-        status = os.waitpid(pid, 0)[1]
-    if status:
-        return own - walk(base - last)
-    return own - int(sent)
+        if pipe:
+            os.close(pipe[0])
+        if pid:
+            if not sent:
+                os.kill(pid, 9)  # SIGKILL, without importing signal into every count
+            os.waitpid(pid, 0)
+    return own - (int(sent) if sent else _gray_sum(base - last, high, low, masks, n))
 
 
 def ryser_permanent(rows) -> int:
@@ -202,13 +209,5 @@ def ryser_permanent(rows) -> int:
     # building it costs about what it saves there, and more at small n.
     masks = _zero_masks(start, low, n) if gray else []
 
-    # The CPUs that `taskset` leaves this process; only Linux can say.
-    split = len(high) >= _SPLIT_ROWS and hasattr(os, "sched_getaffinity")
-    if split and len(os.sched_getaffinity(0)) > 1:
-        last = high.pop()
-        total = _split_sum(
-            lambda base, parent=0: _gray_sum(base, high, low, masks, n, parent), start, last
-        )
-    else:
-        total = _gray_sum(start, high, low, masks, n)
-    return total >> (n - 1)
+    walk = _split_sum if len(high) >= _SPLIT_ROWS else _gray_sum
+    return walk(start, high, low, masks, n) >> (n - 1)

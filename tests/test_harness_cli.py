@@ -993,9 +993,11 @@ class TestCli:
         assert (result.returncode, result.stdout, result.stderr) == (0, "7697064251745\n", "")
         assert killed.exists()
 
-    def test_killed_count_stops_its_kernel_child(self, tmp_path):
-        # K_24's split sum keeps a child busy for seconds; once its parent
-        # is killed, the child stops within a second, a zombie or gone
+    @contextlib.contextmanager
+    def split_k24_count(self, tmp_path):
+        """A fresh `count --method ryser` on K_24 with two CPUs, and its
+        kernel child's pid once forked; both are killed on the way out, so
+        no run leaves a process behind."""
         path = self.write_graph(tmp_path, serialize_graph(BipartiteGraph.complete(24)))
         pid_file = tmp_path / "child"
         script = "\n".join([
@@ -1023,6 +1025,18 @@ class TestCli:
                 assert parent.poll() is None and time.monotonic() < deadline
                 time.sleep(0.01)
             child = int(pid_file.read_text())
+            yield parent, child
+        finally:
+            parent.kill()
+            parent.wait()
+            if child is not None:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(child, signal.SIGKILL)
+
+    def test_killed_count_stops_its_kernel_child(self, tmp_path):
+        # K_24's split sum keeps a child busy for seconds; once its parent
+        # is killed, the child stops within a second, a zombie or gone
+        with self.split_k24_count(tmp_path) as (parent, child):
             parent.kill()
             parent.wait()
             stat = Path(f"/proc/{child}/stat")
@@ -1037,12 +1051,17 @@ class TestCli:
                     break
                 assert time.monotonic() < deadline, f"child {child} still in state {state}"
                 time.sleep(0.01)
-        finally:
-            parent.kill()
-            parent.wait()
-            if child is not None:
-                with contextlib.suppress(ProcessLookupError):
-                    os.kill(child, signal.SIGKILL)
+
+    def test_interrupted_count_ends_its_kernel_child(self, tmp_path):
+        # SIGINT half a second into K_24's split sum: the command kills and
+        # reaps its child rather than wait seconds for the child's half
+        with self.split_k24_count(tmp_path) as (parent, child):
+            time.sleep(0.5)
+            parent.send_signal(signal.SIGINT)
+            sent = time.monotonic()
+            parent.wait(timeout=30)
+            assert time.monotonic() - sent < 0.5
+            assert not Path(f"/proc/{child}").exists()
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no sched_setaffinity")
     def test_one_cpu_count_forks_nothing(self, tmp_path):

@@ -95,6 +95,53 @@ def even_rows_odd_columns(n, seed):
     return a
 
 
+def domino_rows(cells):
+    """The graph whose perfect matchings are the domino tilings of `cells`,
+    a set of grid cells (y, x): black cells (y + x even) are rows, white
+    cells columns, and cells that share a side share an edge."""
+    black = sorted(c for c in cells if sum(c) % 2 == 0)
+    white = {c: w for w, c in enumerate(sorted(c for c in cells if sum(c) % 2))}
+    assert len(black) == len(white)
+    steps = ((0, 1), (1, 0), (0, -1), (-1, 0))
+    return [
+        sum(1 << white[(y + dy, x + dx)] for dy, dx in steps if (y + dy, x + dx) in white)
+        for y, x in black
+    ]
+
+
+def aztec_diamond(k):
+    """The cells whose centres (y + 1/2, x + 1/2) satisfy |y| + |x| <= k."""
+    span = range(-k, k)
+    return {(y, x) for y in span for x in span if abs(2 * y + 1) + abs(2 * x + 1) <= 2 * k}
+
+
+def board(h, w):
+    return {(y, x) for y in range(h) for x in range(w)}
+
+
+def fibonacci(m):
+    a, b = 0, 1
+    for _ in range(m):
+        a, b = b, a + b
+    return a
+
+
+def three_by_even(m):
+    """Domino tilings of the 3 x 2m board: a(m) = 4a(m - 1) - a(m - 2) from 1, 3."""
+    a, b = 1, 3
+    for _ in range(m):
+        a, b = b, 4 * b - a
+    return a
+
+
+# (region, tilings) by closed form, n = 2-24; from n = 15 the count is split
+TILINGS = (
+    [pytest.param(aztec_diamond(k), 2 ** (k * (k + 1) // 2), id=f"aztec{k}") for k in range(1, 5)]
+    + [pytest.param(board(2, m), fibonacci(m + 1), id=f"2x{m}") for m in range(15, 21)]
+    + [pytest.param(board(3, 2 * m), three_by_even(m), id=f"3x{2 * m}") for m in (5, 6, 8)]
+)
+
+
 class TestRyser:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_brute(self, n):
@@ -216,6 +263,23 @@ class TestZeroColumnSkip:
         assert kernels.ryser_permanent(bitmasks(a)) == 1
 
 
+class TestTilings:
+    """Domino tilings with closed-form counts, through the kernel on this
+    host's CPUs, on one CPU, and with rows and columns shuffled."""
+
+    @pytest.mark.parametrize("cells, tilings", TILINGS)
+    def test_closed_forms(self, cells, tilings, monkeypatch):
+        rows = domino_rows(cells)
+        n = len(rows)
+        assert kernels.ryser_permanent(rows) == tilings
+        rnd = random.Random(n)
+        order, cols = rnd.sample(range(n), n), rnd.sample(range(n), n)
+        moved = [sum(1 << cols[w] for w in range(n) if rows[v] >> w & 1) for v in order]
+        assert kernels.ryser_permanent(moved) == tilings
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert kernels.ryser_permanent(rows) == tilings
+
+
 class TestSplit:
     """From n = 15, with two CPUs, a forked child walks half of the Gray
     code and sends its sum back through a pipe."""
@@ -282,6 +346,41 @@ class TestSplit:
             with pytest.raises(ChildProcessError):
                 os.waitpid(-1, os.WNOHANG)
             assert os.listdir("/proc/self/fd") == fds, fail.__name__
+
+    def test_interrupted_walk_kills_its_child(self, monkeypatch, forks):
+        # the parent's own walk raises at once; its child, busy with the
+        # other half of J-I at n = 20, is killed rather than waited for
+        parent, walk, statuses = os.getpid(), kernels._gray_sum, []
+        waitpid = os.waitpid
+
+        def interrupted(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return walk(*args)
+
+        def recorded(pid, options):
+            done = waitpid(pid, options)
+            statuses.append(done[1])
+            return done
+
+        monkeypatch.setattr(kernels, "_gray_sum", interrupted)
+        monkeypatch.setattr(os, "waitpid", recorded)
+        fds = os.listdir("/proc/self/fd")
+        with pytest.raises(KeyboardInterrupt):
+            kernels.ryser_permanent(bitmasks(shuffled(20, (0,), 20)))
+        assert len(forks) == 1
+        assert len(statuses) == 1 and os.WIFSIGNALED(statuses[0])
+        assert os.WTERMSIG(statuses[0]) == signal.SIGKILL
+        assert os.listdir("/proc/self/fd") == fds
+        with pytest.raises(ChildProcessError):
+            waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("n", [15, 16, 17, 18])
+    def test_host_without_affinity_never_forks(self, n, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked without sched_getaffinity"))
+        bits = bitmasks(random_rows(n, 0.5, 5 * n))
+        assert kernels.ryser_permanent(bits) == dp_permanent(bits)
 
     def test_one_cpu_never_forks(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
