@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Exit status contract: 0 = all counts agree, 1 = counting mismatch found,
-2 = usage, parse or output error, 141 = stdout was closed before all output
-was written.  An output error is any other failed write to stdout (a full
+2 = usage, parse or output error, 130 = interrupted (Ctrl-C), reported as
+`error: interrupted`, 141 = stdout was closed before all output was
+written.  An output error is any other failed write to stdout (a full
 disk), reported as `error: stdout: <reason>`; a process started with fd 1
 closed, reported as `error: stdout: Bad file descriptor` before any file is
 read; or a failed write to stderr, reported by the status alone.  `verify`
@@ -231,6 +232,10 @@ def entry() -> None:
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         status = main()
         sys.stdout.flush()
+    except KeyboardInterrupt:
+        # Ctrl-C: one line and 130, as a shell reports a process SIGINT ended
+        _error("interrupted")
+        status = 130
     except OSError as exc:
         # Only stdout raises OSError: main reads its files into ValueError,
         # and _error keeps a failed stderr write to itself.

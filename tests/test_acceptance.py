@@ -5,7 +5,6 @@ lines.  Everything asserts exact equality; the handful of wall-clock
 budgets are asserted too.
 """
 
-import itertools
 import math
 import random
 import time

@@ -191,5 +191,5 @@ class TestDictKeyOrder:
         ]
         assert self.printed_keys(capsys, ["gamma", "--n", "3", "--stats"]) == keys
         assert list(gamma_stats(3)) == keys
-        # valid_paths is None past the enumeration guard, and still printed
-        assert self.printed_keys(capsys, ["gamma", "--n", "8", "--stats"]) == keys
+        # valid_paths is None past the cvmp guard, and still printed
+        assert self.printed_keys(capsys, ["gamma", "--n", "10", "--stats"]) == keys
