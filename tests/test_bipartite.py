@@ -179,8 +179,27 @@ class TestBruteForce:
 
 
 class TestRyser:
+    def test_complete(self):
+        assert count_ryser(BipartiteGraph.complete(4)) == 24
+
     def test_all_zero(self):
         assert count_ryser(BipartiteGraph(4, [0] * 4)) == 0
+
+    def test_matches_bruteforce_random(self):
+        for seed in range(20):
+            g = random_graph(6, 0.5, seed)
+            assert count_ryser(g) == count_bruteforce(g)
+
+    def test_agreement_sweep(self):
+        # oracle self-consistency across sizes
+        for n in range(3, 8):
+            for seed in range(200):
+                g = random_graph(n, 0.4, 7000 + 100 * n + seed)
+                assert count_ryser(g) == count_bruteforce(g), (n, seed)
+
+    def test_complete_counts_are_factorials(self):
+        for n in range(1, 8):
+            assert count_ryser(BipartiteGraph.complete(n)) == math.factorial(n)
 
     def test_guard(self):
         with pytest.raises(ValueError, match="Ryser is guarded at 1 <= n <= 24$"):

@@ -154,6 +154,18 @@ class TestVerify:
         report = verify(g)
         assert report["graph"] == serialize_graph(g)
 
+    def test_dict_key_order_fixed(self):
+        d = verify(BipartiteGraph.complete(3))
+        assert list(d) == [
+            "n",
+            "graph",
+            "count_cvmp",
+            "count_bruteforce",
+            "count_ryser",
+            "agreement",
+            "elapsed",
+        ]
+
 
 class TestSweep:
     def test_exhaustive_n2(self):
@@ -183,6 +195,12 @@ class TestSweep:
     def test_exhaustive_takes_no_seed(self):
         with pytest.raises(ValueError, match="exhaustive sweeps take no seed"):
             sweep(3, seed=4)
+
+    def test_dict_key_order_fixed(self):
+        keys = ["n", "mode", "instances", "agreement", "mismatches"]
+        assert list(sweep(2)) == keys
+        keys[2:2] = ["trials", "seed"]
+        assert list(sweep(3, trials=2, seed=1)) == keys
 
     def test_random_guard_stays_below_path_counting(self):
         # path counting reaches n = 9, but a random sweep stops at 7
@@ -332,6 +350,20 @@ class TestCli:
         first = capsys.readouterr().out
         assert main(["sweep", "--n", "4", "--trials", "20", "--seed", "3"]) == 0
         assert capsys.readouterr().out == first
+
+    def test_gamma_stats(self, capsys):
+        assert main(["gamma", "--n", "4", "--stats"]) == 0
+        stats = json.loads(capsys.readouterr().out)
+        assert stats["node_count"] == 18
+        assert stats["valid_paths"] == 24
+        assert list(stats) == [
+            "n",
+            "node_count",
+            "r_edge_count",
+            "s_edge_count",
+            "valid_paths",
+            "unconstrained_walks",
+        ]
 
     def test_json_stdout_is_the_library_result(self, cvmp_off_on_edge_11, tmp_path, capsys):
         # the report writer is not json, so every report shape is checked
@@ -604,6 +636,12 @@ class TestCli:
             else:
                 assert (status, out, calls) == (2, "", []), n
         assert in_guard == []  # n = 25 is past every guard
+
+    def test_gamma_stats_past_enumeration_guard(self, capsys):
+        # valid paths are counted where path counting reaches, past the
+        # enumeration guard; the first n past the cvmp guard prints null
+        assert main(["gamma", "--n", "10", "--stats"]) == 0
+        assert json.loads(capsys.readouterr().out)["valid_paths"] is None
 
     def test_gamma_stats_at_the_cvmp_and_build_guards(self, capsys):
         # valid paths are counted where path counting reaches, up to the cvmp

@@ -1,8 +1,10 @@
 """The 4-cycle multiplication witness and its level specialization."""
 
+import random
+
 import pytest
 
-from permmatch.bipartite import BipartiteGraph
+from permmatch.bipartite import BipartiteGraph, contains_matching
 from permmatch.gamma import (
     _level_node,
     enumerate_cvmps,
@@ -21,6 +23,13 @@ def transpositions(n):
 
 
 class TestFourCycle:
+    def test_figure_cascade(self):
+        w = four_cycle(parse_cycles("(1,2,4,3,5)", 5), Transposition(2, 3))
+        assert (w.a, w.i, w.t, w.k) == (1, 2, 4, 3)
+        assert w.edges_before == {(1, 2), (4, 3)}
+        assert w.edges_after == {(1, 3), (4, 2)}
+        assert w.cycle_nodes == (("v", 1), ("w", 2), ("v", 4), ("w", 3))
+
     def test_identity_multiplicand(self):
         w = four_cycle(Permutation.identity(5), Transposition(2, 3))
         assert (w.a, w.t) == (2, 3)
@@ -74,6 +83,22 @@ class TestIsProductRealized:
         g = BipartiteGraph(4, [0] * 4)
         with pytest.raises(ValueError, match="hypothesis"):
             is_product_realized(g, Permutation.identity(4), Transposition(1, 2))
+
+    def test_equals_containment_on_random_triples(self):
+        rng = random.Random(99)
+        for _ in range(500):
+            n = rng.randint(4, 7)
+            p = Permutation(rng.sample(range(1, n + 1), n))
+            edges = set(matching_edges(p))
+            for v in range(1, n + 1):
+                for w in range(1, n + 1):
+                    if rng.random() < 0.4:
+                        edges.add((v, w))
+            g = edge_graph(n, edges)
+            i = rng.randint(1, n - 1)
+            psi = Transposition(i, rng.randint(i + 1, n))
+            direct = contains_matching(g, compose(p, psi.to_perm(n)))
+            assert is_product_realized(g, p, psi) == direct
 
 
 def ep(p, psi):

@@ -68,6 +68,11 @@ class TestChecks:
 
 
 class TestCompose:
+    def test_figure_example(self):
+        p = perm("(1,2,4,3,5)", 5)
+        q = perm("(2,3)", 5)
+        assert format_cycles(compose(p, q)) == "(1,3,5)(2,4)"
+
     def test_identity_right(self):
         p = perm("(1,4,2)", 4)
         assert compose(p, Permutation.identity(4)) == p
@@ -186,6 +191,13 @@ class TestCycleText:
 
 
 class TestCosetChain:
+    def test_table_for_n4(self):
+        chain = coset_transversals(4)
+        assert chain[0] == tuple(Transposition(1, k) for k in (1, 2, 3, 4))
+        assert chain[1] == (Transposition(2, 2), Transposition(2, 3), Transposition(2, 4))
+        assert chain[2] == (Transposition(3, 3), Transposition(3, 4))
+        assert chain[3] == (Transposition(4, 4),)
+
     def test_single_point(self):
         chain = coset_transversals(1)
         assert chain == ((Transposition(1, 1),),)
@@ -205,7 +217,7 @@ class TestCosetChain:
         chain = coset_transversals(5)
         assert [len(lev) for lev in chain] == [5, 4, 3, 2, 1]
 
-    @pytest.mark.parametrize("n,expect", [(1, 1), (6, 720)])
+    @pytest.mark.parametrize("n,expect", [(4, 24), (1, 1), (6, 720)])
     def test_order(self, n, expect):
         assert order_from_chain(coset_transversals(n)) == expect
 
@@ -215,6 +227,22 @@ class TestCosetChain:
 
 
 class TestSift:
+    def test_worked_example(self):
+        assert sift(perm("(1,3,2,4)", 4)) == [
+            Transposition(1, 3),
+            Transposition(2, 4),
+            Transposition(3, 4),
+            Transposition(4, 4),
+        ]
+
+    def test_single_transposition(self):
+        assert sift(perm("(1,2)", 4)) == [
+            Transposition(1, 2),
+            Transposition(2, 2),
+            Transposition(3, 3),
+            Transposition(4, 4),
+        ]
+
     def test_identity(self):
         assert sift(Permutation.identity(3)) == [Transposition(i, i) for i in (1, 2, 3)]
 
@@ -239,6 +267,16 @@ class TestSift:
 
 
 class TestUnsift:
+    def test_worked_example(self):
+        # psi_4..psi_1 = I, (3,4), (2,4), (1,3)
+        factors = [
+            Transposition(1, 3),
+            Transposition(2, 4),
+            Transposition(3, 4),
+            Transposition(4, 4),
+        ]
+        assert unsift(factors) == perm("(1,3,2,4)", 4)
+
     def test_all_identity(self):
         factors = [Transposition(i, i) for i in (1, 2, 3, 4)]
         assert unsift(factors) == Permutation.identity(4)
