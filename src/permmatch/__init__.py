@@ -7,10 +7,12 @@ at small n.  The package binds only its modules and `__version__`: each
 name is imported from the module defining it (`from permmatch.gamma import
 build_gamma`).
 
-`gamma` and `perms` hold the paper's construction, `harness` serves only
-`verify`, `sweep` and `count --method cvmp`, and `pcg` only `gen` and random
-sweeps, so the four are registered in `sys.modules` at import but compiled
-only on first attribute access (`importlib.util.LazyLoader`).
+`gamma` and `perms` hold the paper's construction, which only the `gamma`
+and `factorize` commands run; `harness` serves only `verify`, `sweep`,
+`count --method cvmp` and `gamma --stats`, and `pcg` only `gen` and random
+sweeps.  So the four are registered in `sys.modules` at import but compiled
+only on first attribute access (`importlib.util.LazyLoader`); the table
+`COMPILES` in tests/test_harness_cli.py lists what each command compiles.
 Registration, not a function-local import, keeps every module a tracer
 reads from `sys.modules` after `import permmatch.cli` in place.
 """

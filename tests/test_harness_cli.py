@@ -712,114 +712,6 @@ class TestCli:
         assert captured.out == ""
         assert f"error: {path}: bad header line {header!r}" in captured.err
 
-    def test_no_command_imports_numpy(self, tmp_path):
-        # random graphs come from the package's own PCG64 stream, so no
-        # command, gen and random sweeps included, imports numpy, and none
-        # needs dataclasses or the inspect module it pulls in; a fresh
-        # interpreter shows what the commands load, which this test process
-        # cannot
-        path = self.write_graph(tmp_path, "4\n1101\n0111\n1011\n1110\n")
-        script = "\n".join([
-            "import contextlib, io, sys",
-            "from permmatch.cli import main",
-            f"path = {path!r}",
-            "runs = [['verify', path], ['gamma', '--n', '4', '--stats'],",
-            "        ['factorize', '--n', '4', '(1,2,4,3)'],",
-            "        ['gen', '--n', '6', '--density', '0.5', '--seed', '7'],",
-            "        ['sweep', '--n', '4', '--trials', '3', '--seed', '1']]",
-            "runs += [['count', '--method', m, path] for m in ('cvmp', 'brute', 'ryser')]",
-            "for argv in runs:",
-            "    with contextlib.redirect_stdout(io.StringIO()):",
-            "        assert main(argv) == 0, argv",
-            "assert 'numpy' not in sys.modules, 'numpy was imported'",
-            "loaded = {'dataclasses', 'inspect'} & set(sys.modules)",
-            "assert not loaded, f'{sorted(loaded)} imported'",
-        ])
-        result = run_python(["-c", script])
-        assert result.returncode == 0, result.stderr
-
-    def test_no_command_imports_json_future_or_the_ascii_codec(self, tmp_path):
-        # a cold process pays for every module it compiles: reports are
-        # written without json, no module needs __future__, and graph files
-        # are decoded by the built-in ASCII decoder, not the codec module;
-        # a fresh interpreter shows what the commands loaded
-        path = self.write_graph(tmp_path, "4\n1101\n0111\n1011\n1110\n")
-        bad = tmp_path / "bad.txt"
-        bad.write_text("2\n1x\n11\n")
-        forbidden = ["json", "__future__", "encodings.ascii"]
-        script = "\n".join([
-            "import contextlib, io, sys",
-            f"forbidden = {forbidden!r}",
-            "assert not set(forbidden) & set(sys.modules), 'loaded at start-up'",
-            "from permmatch.cli import main",
-            f"runs = {[[path if a is FILE else a for a in argv] for argv in VALID]!r}",
-            "runs.append(['--help'])",
-            "for argv in runs:",
-            "    with contextlib.redirect_stdout(io.StringIO()):",
-            "        assert main(argv) == 0, argv",
-            "with contextlib.redirect_stderr(io.StringIO()):",
-            f"    assert main(['verify', {str(bad)!r}]) == 2",
-            "loaded = set(forbidden) & set(sys.modules)",
-            "assert not loaded, f'{sorted(loaded)} imported'",
-        ])
-        result = run_python(["-c", script])
-        assert result.returncode == 0, result.stderr
-
-    @pytest.mark.parametrize(
-        "user, loads",
-        [
-            (["verify", FILE], ["harness"]),
-            (["sweep", "--n", "2", "--exhaustive"], ["harness"]),
-            (["sweep", "--n", "4", "--trials", "3", "--seed", "1"], ["harness", "pcg"]),
-            (["count", "--method", "cvmp", FILE], ["harness"]),
-            (["gamma", "--n", "3", "--stats"], ["gamma", "perms", "harness"]),
-            (["factorize", "--n", "4", "(1,2,4,3)"], ["gamma", "perms"]),
-            (["gen", "--n", "6", "--density", "0.5", "--seed", "7"], ["pcg"]),
-        ],
-        ids=["verify", "sweep-exhaustive", "sweep-random", "count-cvmp", "gamma-stats",
-             "factorize", "gen"],
-    )
-    def test_gamma_and_perms_registered_but_loaded_on_first_use(self, user, loads, tmp_path):
-        # a tracer wrapping every measured module reads all six from
-        # sys.modules right after `import permmatch.cli`, yet no counting
-        # command runs gamma or perms, count by Ryser or brute force never
-        # runs harness, and only gen and random sweeps draw from the PCG
-        # stream, so the four are compiled on first use; type() reads no
-        # attribute, so checking cannot load them.  The
-        # command line is parsed without argparse, and so without the
-        # gettext and locale modules it imports.
-        path = self.write_graph(tmp_path, "4\n1101\n0111\n1011\n1110\n")
-        user = [path if a is FILE else a for a in user]
-        script = "\n".join([
-            "import contextlib, io, sys, types",
-            "import permmatch.cli",
-            "from permmatch.cli import main",
-            "measured = ('cli', 'bipartite', 'perms', 'gamma', 'harness', 'kernels')",
-            "missing = [m for m in measured if 'permmatch.' + m not in sys.modules]",
-            "assert not missing, f'{missing} not registered'",
-            "lazy = ('gamma', 'perms', 'harness', 'pcg')",
-            "def loaded():",
-            "    return [m for m in lazy if type(sys.modules['permmatch.' + m]) is types.ModuleType]",
-            "assert not loaded(), f'{loaded()} loaded by the import'",
-            f"path = {path!r}",
-            "runs = [['count', '--method', 'ryser', path], ['count', '--method', 'brute', path],",
-            "        ['--help']]",
-            f"runs.append({user!r})",
-            "for argv in runs:",
-            "    with contextlib.redirect_stdout(io.StringIO()):",
-            "        assert main(argv) == 0, argv",
-            "    if argv is not runs[-1]:",
-            "        assert not loaded(), f'{loaded()} loaded by {argv}'",
-            f"assert sorted(loaded()) == {sorted(loads)!r}, f'{{loaded()}} loaded by {{runs[-1]}}'",
-            "if 'gamma' in loaded():",
-            "    assert 'build_gamma' in vars(sys.modules['permmatch.gamma'])",
-            "assert 'verify' in vars(sys.modules['permmatch.harness'])",
-            "imported = {'argparse', 'gettext', 'locale'} & set(sys.modules)",
-            "assert not imported, f'{sorted(imported)} imported'",
-        ])
-        result = run_python(["-c", script])
-        assert result.returncode == 0, result.stderr
-
     def test_package_exports_in_a_fresh_process(self):
         # the package binds modules and __version__, no function or type:
         # each is imported from its defining module; gamma and perms stay the
@@ -897,19 +789,6 @@ class TestCli:
                          pyproject, re.M)
         main_py = (SRC / "permmatch" / "__main__.py").read_text()
         assert main_py == "from .cli import entry\n\nentry()\n"
-
-    def test_cold_verify_imports_in_a_fresh_process(self, tmp_path):
-        # -X importtime lists each module the import system loads: verify
-        # runs through permmatch.cli and loads neither json, __future__, the
-        # ASCII codec nor the PCG stream
-        path = self.write_graph(tmp_path, serialize_graph(random_graph(5, 0.5, 7)))
-        result = run_python(["-X", "importtime", "-m", "permmatch", "verify", path])
-        assert result.returncode == 0
-        imported = re.findall(r"^import time: .*\| +(\S+)$", result.stderr, re.M)
-        assert "permmatch.cli" in imported
-        forbidden = ("json", "__future__", "encodings.ascii", "permmatch.pcg")
-        loaded = [m for m in imported if any(m == f or m.startswith(f + ".") for f in forbidden)]
-        assert loaded == []
 
     def test_killed_kernel_child_changes_no_byte(self, tmp_path):
         # J - I at n = 16 splits the permanent's sum on two CPUs; a child
@@ -1177,6 +1056,72 @@ VALID = [
 ]
 VALID_IDS = [" ".join("FILE" if a is FILE else a for a in argv) for argv in VALID]
 
+# What a cold command compiles: one row per VALID argv, then --help and a
+# refusal (BAD is a graph file with a bad row).  A row is the argv, its exit
+# status and the lazily registered modules (see permmatch/__init__.py) it
+# compiles past the eager five; only gamma and factorize run the paper's
+# construction in gamma and perms.
+COMPILES = [
+    ("verify FILE", 0, ["harness"]),
+    ("sweep --n 2 --exhaustive", 0, ["harness"]),
+    ("sweep --n 3 --trials 2 --seed 1", 0, ["harness", "pcg"]),
+    ("gamma --n 3 --stats", 0, ["gamma", "harness", "perms"]),
+    ("gamma --n 3 --dot", 0, ["gamma", "perms"]),
+    ("factorize --n 4 (1,2,4,3)", 0, ["gamma", "perms"]),
+    ("gen --n 4 --density 0.5 --seed 7", 0, ["pcg"]),
+    ("count --method cvmp FILE", 0, ["harness"]),
+    ("count --method ryser FILE", 0, []),
+    ("count --method brute FILE", 0, []),
+    ("--help", 0, []),
+    ("verify BAD", 2, []),
+]
+EAGER = ["_guards", "_record", "bipartite", "cli", "kernels"]
+# Loaded by no command: reports are written without json, graph files are
+# decoded by the built-in ASCII decoder, no module needs __future__, random
+# graphs come from the package's own PCG64 stream, nothing needs dataclasses
+# or the inspect module it pulls in, and the command line is read without
+# argparse and the gettext and locale modules it imports.
+UNLOADED = ["numpy", "dataclasses", "inspect", "json", "__future__", "encodings.ascii",
+            "argparse", "gettext", "locale"]
+
+
+class TestCompiles:
+    """What each command compiles and loads, one fresh interpreter a row."""
+
+    @pytest.mark.parametrize("row, status, lazy", COMPILES, ids=[r for r, _, _ in COMPILES])
+    def test_a_cold_command_compiles_its_row(self, row, status, lazy, tmp_path):
+        # A tracer reads the six measured modules from sys.modules right
+        # after `import permmatch.cli`, so all six are registered there, and
+        # the lazy ones are compiled on first attribute access.  type() reads
+        # no attribute, so checking loads nothing; `-X importtime` never lists
+        # a lazily compiled module, so it cannot serve here.
+        files = {"FILE": tmp_path / "g.txt", "BAD": tmp_path / "bad.txt"}
+        files["FILE"].write_text("4\n1101\n0111\n1011\n1110\n")
+        files["BAD"].write_text("2\n1x\n11\n")
+        argv = [str(files[a]) if a in files else a for a in row.split()]
+        script = "\n".join([
+            "import sys",
+            f"unloaded = set({UNLOADED!r})",
+            "loaded = unloaded & set(sys.modules)",
+            "assert not loaded, f'{sorted(loaded)} loaded at start-up'",
+            "import contextlib, io, types",
+            "import permmatch.cli",
+            "measured = ('cli', 'bipartite', 'perms', 'gamma', 'harness', 'kernels')",
+            "missing = [m for m in measured if 'permmatch.' + m not in sys.modules]",
+            "assert not missing, f'{missing} not registered'",
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):",
+            f"    status = permmatch.cli.main({argv!r})",
+            f"assert status == {status}, status",
+            "compiled = sorted(name.removeprefix('permmatch.') for name, m in sys.modules.items()",
+            "                  if name.startswith('permmatch.') and type(m) is types.ModuleType)",
+            f"assert compiled == {sorted(EAGER + lazy)!r}, compiled",
+            "loaded = unloaded & set(sys.modules)",
+            "assert not loaded, f'{sorted(loaded)} loaded by the command'",
+        ])
+        result = run_python(["-c", script])
+        assert result.returncode == 0, result.stderr
+
 
 class TestCliParse:
     """The command table's grammar, one case per command and option."""
@@ -1202,6 +1147,7 @@ class TestCliParse:
 
     def test_valid_argvs_cover_the_table(self):
         assert {argv[0] for argv in VALID} == set(cli._COMMANDS)
+        assert [row for row, _, _ in COMPILES[:len(VALID)]] == VALID_IDS
 
     @pytest.mark.parametrize("argv", VALID, ids=VALID_IDS)
     def test_each_required_option_missing_exits_2(self, argv, run):
