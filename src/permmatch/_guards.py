@@ -1,9 +1,13 @@
 """Every limit of the workbench: n per stage, the digits of a number, the
-counting methods and the one refusal."""
+bytes of a graph file, the counting methods and the one refusal."""
 
 import sys
 
 DIGITS = len(str(sys.maxsize))  # the longest number any parser reads: no larger n fits a row
+# The most bytes a graph file may hold, so a file without end (/dev/zero) is
+# refused, not read until memory runs out: K_24's file is 603 bytes, and a
+# header past DIGITS is refused whatever follows it.
+GRAPH_BYTES = 1 << 20
 
 LIMITS = {
     "cvmp": 9,  # verify's reach, not a cost: the walk holds at most 2^n column sets

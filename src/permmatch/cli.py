@@ -19,7 +19,7 @@ import sys
 # gamma, harness, pcg and perms are compiled on first use (see __init__), so
 # they are read through their modules: binding a name here would load its module
 from . import bipartite, gamma, harness, pcg, perms
-from ._guards import DIGITS, METHODS, guard
+from ._guards import DIGITS, GRAPH_BYTES, METHODS, guard
 
 
 def _read_graph(path: str) -> bipartite.BipartiteGraph:
@@ -27,10 +27,13 @@ def _read_graph(path: str) -> bipartite.BipartiteGraph:
         # read as bytes: parse_graph, not universal newlines, decides what
         # ends a line, so a lone "\r" is refused as it is in process
         with open(path, "rb") as fh:
-            return bipartite.parse_graph(fh.read().decode("ascii"))
+            data = fh.read(GRAPH_BYTES + 1)
+        if len(data) > GRAPH_BYTES:
+            raise ValueError(f"a graph file holds at most {GRAPH_BYTES} bytes")
+        return bipartite.parse_graph(data.decode("ascii"))
     except OSError as exc:
         raise ValueError(f"{path}: {exc.strerror}") from exc
-    except ValueError as exc:  # a UnicodeDecodeError or a parse refusal
+    except ValueError as exc:  # the size bound, a UnicodeDecodeError or a parse refusal
         raise ValueError(f"{path}: {exc}") from exc
 
 

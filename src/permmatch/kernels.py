@@ -49,7 +49,10 @@ process is still its parent and exits 1 when it is not, so a count killed
 by a signal leaves no child computing.  When this process's own walk is
 interrupted (Ctrl-C, say), it kills the child before reaping it, so the
 interrupt ends both at once.  Below n = 15 the fork, the child's start and
-its exit (about 2 ms together) cost more than half the walk saves.
+its exit (about 2 ms together) cost more than half the walk saves.  From
+n = 15 it forks whatever work the zero-column skip leaves, so on sparse
+inputs at n = 15-17, where the skip leaves little, the fork can cost more
+than it saves.
 """
 
 import functools

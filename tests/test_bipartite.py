@@ -107,9 +107,6 @@ class TestBruteForce:
                 for p, perm in enumerate(perms):
                     assert (bits >> p & 1) == (perm[v] == c), (v, c, p)
 
-    def test_complete(self):
-        assert count_bruteforce(BipartiteGraph.complete(3)) == 6
-
     def test_six_cycle(self):
         assert count_bruteforce(SIX_CYCLE) == 2
 

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permmatch import cli
-from permmatch._guards import LIMITS, METHODS
+from permmatch._guards import GRAPH_BYTES, LIMITS, METHODS
 from permmatch.bipartite import (
     BipartiteGraph,
     count_bruteforce,
@@ -72,6 +72,21 @@ def blank_elapsed(report):
 
 # Where a path to a graph file goes in an argv.
 FILE = object()
+
+
+def place(arg, tmp_path):
+    """An argv entry as main reads it: bytes stand for a graph file that
+    holds them, written to `tmp_path`."""
+    if not isinstance(arg, bytes):
+        return arg
+    path = tmp_path / "g.txt"
+    path.write_bytes(arg)
+    return str(path)
+
+
+def complete(n):
+    """The bytes of K_n's graph file."""
+    return serialize_graph(BipartiteGraph.complete(n)).encode()
 
 
 @pytest.fixture
@@ -173,11 +188,6 @@ class TestSweep:
         assert report["instances"] == 16
         assert report["agreement"] and report["mismatches"] == []
 
-    def test_exhaustive_n3(self):
-        report = sweep(3)
-        assert report["instances"] == 512
-        assert report["agreement"]
-
     def test_random_reproducible(self):
         a = sweep(6, trials=50, seed=5)
         b = sweep(6, trials=50, seed=5)
@@ -221,12 +231,6 @@ class TestSweep:
 
 
 class TestGammaStats:
-    def test_n4(self):
-        stats = gamma_stats(4)
-        assert stats["node_count"] == 18
-        assert stats["valid_paths"] == 24
-        assert stats["valid_paths"] <= stats["unconstrained_walks"]
-
     def test_trivial(self):
         stats = gamma_stats(1)
         assert stats["node_count"] == 1
@@ -275,55 +279,6 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["count_cvmp"] == report["count_ryser"] == 6
         assert report["agreement"] is True
-
-    def test_verify_malformed_file(self, tmp_path, capsys):
-        path = self.write_graph(tmp_path, "2\n1x\n11\n")
-        assert main(["verify", path]) == 2
-        err = capsys.readouterr().err
-        assert "error" in err and "row 1" in err
-
-    def test_verify_non_ascii_file_exits_2_with_path(self, tmp_path, capsys):
-        f = tmp_path / "g.txt"
-        f.write_bytes("\u0662\n1\n1\n".encode("utf-8"))  # ARABIC-INDIC DIGIT TWO
-        assert main(["verify", str(f)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(f"error: {f}: ")
-        assert "Traceback" not in captured.err
-
-    def test_unreadable_graph_file_refusals_name_the_path(self, tmp_path, capsys):
-        # one stderr line each: the path, then the OS's reason, the ASCII
-        # decoder's or the parser's, for verify and count alike
-        non_ascii = tmp_path / "arabic.txt"
-        non_ascii.write_bytes("\u0662\n1\n1\n".encode("utf-8"))
-        bad = tmp_path / "bad.txt"
-        bad.write_text("2\n1x\n11\n")
-        zero_led = tmp_path / "zero.txt"
-        zero_led.write_text("02\n11\n11\n")
-        reasons = {
-            tmp_path / "missing.txt": os.strerror(errno.ENOENT),
-            tmp_path: os.strerror(errno.EISDIR),
-            non_ascii: "'ascii' codec can't decode byte 0xd9 in position 0: "
-            "ordinal not in range(128)",
-            bad: "row 1 has characters outside 0/1: ['x']",
-            zero_led: "bad header line '02'; expected decimal n",
-        }
-        for path, reason in reasons.items():
-            for argv in (["verify", str(path)], ["count", "--method", "ryser", str(path)]):
-                assert main(argv) == 2, argv
-                assert capsys.readouterr() == ("", f"error: {path}: {reason}\n"), argv
-
-    @pytest.mark.parametrize(
-        "raw", [b"2\v11\f01\n", b"2\r11\r01\r", b"\x1f2\x1f\n11\n01\n"],
-        ids=["vt-ff", "lone-cr", "unit-separator"],
-    )
-    def test_verify_other_separators_exit_2(self, tmp_path, capsys, raw):
-        f = tmp_path / "g.txt"
-        f.write_bytes(raw)
-        assert main(["verify", str(f)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(f"error: {f}: bad header line ")
 
     def test_verify_crlf_file(self, tmp_path, capsys):
         f = tmp_path / "g.txt"
@@ -416,18 +371,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.startswith("digraph") and out.rstrip().endswith("}")
 
-    def test_gamma_dot_refuses_before_building(self, monkeypatch, capsys):
-        import permmatch.gamma as gamma
-
-        def never(n):
-            raise AssertionError("built a generating graph that DOT export refuses")
-
-        monkeypatch.setattr(gamma, "build_gamma", never)
-        assert main(["gamma", "--n", "12", "--dot"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: DOT export is guarded at 1 <= n <= 8\n"
-
     def test_factorize(self, capsys):
         assert main(["factorize", "--n", "4", "(1,3,2,4)"]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -445,70 +388,6 @@ class TestCli:
         assert main(["factorize", "--n", "5", "(1,3,2)(4,5)"]) == 0
         out = "I*(4,5)*I*(2,3)*(1,3)\n(13,21)(23,32)(33,33)(45,54)(55,55)\n"
         assert capsys.readouterr() == (out, "")
-
-    def test_numbers_past_int_digit_limit_exit_2(self, tmp_path, capsys):
-        path = self.write_graph(tmp_path, "1" * 5000 + "\n1\n")
-        runs = [
-            (["factorize", "--n", "4", "(1," + "2" * 5000 + ")"],
-             "error: point of 5000 digits out of range 1..4 at position 3\n"),
-            (["verify", path],
-             f"error: {path}: bad header line of 5000 characters; n has at most 19 digits\n"),
-        ]
-        for argv, err in runs:
-            assert main(argv) == 2
-            assert capsys.readouterr() == ("", err)
-
-    def test_numbers_past_lowered_int_digit_limit_exit_2(self, tmp_path):
-        # the interpreter's own limit, lowered to the least CPython accepts
-        path = self.write_graph(tmp_path, "1" * 1000 + "\n1\n")
-        runs = [
-            (["factorize", "--n", "4", "(1," + "2" * 1000 + ")"],
-             "error: point of 1000 digits out of range 1..4 at position 3\n"),
-            (["verify", path],
-             f"error: {path}: bad header line of 1000 characters; n has at most 19 digits\n"),
-        ]
-        for argv, err in runs:
-            result = run_python(["-X", "int_max_str_digits=640", "-m", "permmatch", *argv])
-            assert (result.returncode, result.stdout, result.stderr) == (2, "", err)
-
-    def test_giant_header_exits_2_with_a_short_message(self, tmp_path):
-        # a header of up to the digit limit used to come back whole on
-        # stderr; messages at real sizes keep their bytes
-        giant = "error: {}: bad header line of 4300 characters; n has at most 19 digits\n"
-        cases = [
-            ("1" * 4300 + "\n1\n", giant),
-            ("1" * 4300 + "\n", giant),
-            ("2\n111\n11\n", "error: {}: row 1 has 3 characters, expected 2\n"),
-        ]
-        for text, err in cases:
-            path = self.write_graph(tmp_path, text)
-            result = run_python(["-m", "permmatch", "verify", path])
-            assert (result.returncode, result.stdout) == (2, "")
-            assert result.stderr == err.format(path)
-            assert len(result.stderr.encode()) < 200
-
-    def test_long_numbers_refused_alike_at_any_digit_limit(self, tmp_path):
-        # a header line, a point or an integer option longer than
-        # sys.maxsize's 19 digits is refused by its length before int() reads
-        # it: the interpreter's digit limit, here the default and the least
-        # CPython accepts, changes no byte, and nothing long is echoed
-        headers = ["x" * 100_000, "1" * 4300, "1" * 5000, str(2**63)]
-        points = ["2" * 1000, "0" * 24 + "2"]
-        runs = [["factorize", "--n", "4", f"(1,{p})"] for p in points]
-        runs += [["gen", "--n", "3", "--density", "0.5", "--seed", "7" * 5000],
-                 ["factorize", "--n", "1" * 1000, "()"]]
-        for i, header in enumerate(headers):
-            path = tmp_path / f"h{i}.txt"
-            path.write_text(header + "\n1\n")
-            runs.append(["verify", str(path)])
-        for argv in runs:
-            default, lowered = (
-                run_python([*flags, "-m", "permmatch", *argv])
-                for flags in ([], ["-X", "int_max_str_digits=640"])
-            )
-            assert (default.returncode, default.stdout) == (2, ""), argv[:3]
-            assert (lowered.returncode, lowered.stdout, lowered.stderr) == (2, "", default.stderr)
-            assert len(default.stderr.encode()) < 200, default.stderr
 
     def test_gen_density_one(self, capsys):
         assert main(["gen", "--n", "3", "--density", "1", "--seed", "0"]) == 0
@@ -574,26 +453,81 @@ class TestCli:
             # 19 characters are read: -1 reaches gen's guard
             (["gen", "--n", "-" + "0" * 17 + "1", "--density", "0.5", "--seed", "1"],
              "gen is guarded at 1 <= n <= 24"),
+            # a point past 19 digits is named by its length, not echoed
+            (["factorize", "--n", "4", "(1," + "2" * 5000 + ")"],
+             "point of 5000 digits out of range 1..4 at position 3"),
+            # what _read_graph refuses: the path, then the OS's reason, the
+            # size bound's, the ASCII decoder's or the parser's
+            (["verify", "/"], f"/: {os.strerror(errno.EISDIR)}"),
+            (["verify", "/dev/zero"], "/dev/zero: a graph file holds at most 1048576 bytes"),
+            (["verify", b"x" * (GRAPH_BYTES + 1)],
+             "{path}: a graph file holds at most 1048576 bytes"),
+            (["verify", b"x" * GRAPH_BYTES],
+             "{path}: bad header line of 1048576 characters; n has at most 19 digits"),
+            (["verify", "\u0662\n1\n1\n".encode()],  # ARABIC-INDIC DIGIT TWO
+             "{path}: 'ascii' codec can't decode byte 0xd9 in position 0: "
+             "ordinal not in range(128)"),
+            (["verify", b"2\n1x\n11\n"], "{path}: row 1 has characters outside 0/1: ['x']"),
+            (["verify", b"2\n111\n11\n"], "{path}: row 1 has 3 characters, expected 2"),
+            (["verify", b"1" * 5000 + b"\n1\n"],
+             "{path}: bad header line of 5000 characters; n has at most 19 digits"),
+            (["verify", b"02\n11\n11\n"], "{path}: bad header line '02'; expected decimal n"),
+            (["verify", b"1_0\n" + (b"1" * 10 + b"\n") * 10],
+             "{path}: bad header line '1_0'; expected decimal n"),
+            (["verify", b"+2\n11\n11\n"], "{path}: bad header line '+2'; expected decimal n"),
+            # only "\n" and "\r\n" end a line
+            (["verify", b"2\v11\f01\n"],
+             "{path}: bad header line '2\\x0b11\\x0c01'; expected decimal n"),
+            (["verify", b"2\r11\r01\r"],
+             "{path}: bad header line '2\\r11\\r01\\r'; expected decimal n"),
+            (["verify", b"\x1f2\x1f\n11\n01\n"],
+             "{path}: bad header line '\\x1f2\\x1f'; expected decimal n"),
+            # a graph past a counter's guard; past Ryser's too, no message
+            # points to another command
+            (["verify", complete(25)], "no counting method is in guard at n=25: "
+             "cvmp n <= 9, brute force n <= 9, Ryser n <= 24"),
+            *((["count", "--method", method, complete(n)],
+               f"{stage} is guarded at 1 <= n <= 9{hint}")
+              for method, stage in [("brute", "brute force"), ("cvmp", "cvmp")]
+              for n, hint in [(10, "; use `count --method ryser`"), (25, "")]),
+            # refused before the work: the marked function fails the row if it runs
+            *(pytest.param(["gen", "--n", n, "--density", "0.5", "--seed", "1"],
+                           "gen is guarded at 1 <= n <= 24",
+                           marks=pytest.mark.never("permmatch.pcg._uniform_stream"))
+              for n in ["25", "1000000"]),
+            *(pytest.param(["factorize", "--n", n, "()"], "factorize is guarded at 1 <= n <= 9",
+                           marks=pytest.mark.never("permmatch.perms.parse_cycles"))
+              for n in ["10", "1000000000"]),
+            pytest.param(["gamma", "--n", "12", "--dot"], "DOT export is guarded at 1 <= n <= 8",
+                         marks=pytest.mark.never("permmatch.gamma.build_gamma")),
         ],
     )
-    def test_refusals_print_one_exact_line(self, argv, message, capsys):
+    def test_refusals_print_one_exact_line(
+        self, argv, message, request, monkeypatch, tmp_path, capsys
+    ):
         # what main(argv) refuses on its own: exit 2, nothing on stdout, and
-        # one stderr line
-        assert main(argv) == 2
-        assert capsys.readouterr() == ("", f"error: {message}\n")
+        # one stderr line.  Bytes in argv are a graph file's, whose path
+        # replaces {path}; a verify row whose message starts with the path is
+        # _read_graph's refusal, which count prints alike.
+        mark = request.node.get_closest_marker("never")
+        if mark:
+            def never(*args):
+                raise AssertionError(f"{mark.args[0]} ran, but the refusal comes first")
+
+            monkeypatch.setattr(mark.args[0], never)
+        argv = [place(arg, tmp_path) for arg in argv]
+        message = message.replace("{path}", argv[-1])
+        runs = [argv]
+        if argv[0] == "verify" and message.startswith(argv[-1] + ": "):
+            runs.append(["count", "--method", "ryser", *argv[1:]])
+        for run in runs:
+            assert main(run) == 2, run
+            assert capsys.readouterr() == ("", f"error: {message}\n"), run
 
     def test_int_options_up_to_19_characters_are_read(self, capsys):
         for seed, as_int in [(str(sys.maxsize), sys.maxsize), ("0" * 18 + "7", 7)]:
             assert main(["gen", "--n", "3", "--density", "0.5", "--seed", seed]) == 0
             assert capsys.readouterr().out == serialize_graph(random_graph(3, 0.5, as_int))
-
-    def test_verify_past_every_guard_exits_2(self, tmp_path, capsys):
-        path = self.write_graph(tmp_path, "25\n" + ("1" * 25 + "\n") * 25)
-        assert main(["verify", path]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "error: no counting method is in guard at n=25" in captured.err
-        assert "Ryser n <= 24" in captured.err
 
     def test_verify_with_only_ryser_in_guard_exits_2(self, tmp_path, capsys):
         path = self.write_graph(tmp_path, serialize_graph(random_graph(12, 0.5, 1)))
@@ -655,62 +589,6 @@ class TestCli:
                        [12, 518, 2486, 20449, None, 18392167676352]):
             assert main(["gamma", "--n", str(values[0]), "--stats"]) == 0
             assert json.loads(capsys.readouterr().out) == dict(zip(keys, values))
-
-    @pytest.mark.parametrize("method", ["brute", "cvmp"])
-    def test_count_past_guard_names_the_ryser_command(self, method, tmp_path, capsys):
-        path = self.write_graph(tmp_path, serialize_graph(BipartiteGraph.complete(10)))
-        assert main(["count", "--method", method, path]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.endswith("n <= 9; use `count --method ryser`\n")
-
-    @pytest.mark.parametrize("method,stage", [("brute", "brute force"), ("cvmp", "cvmp")])
-    def test_count_past_ryser_names_no_other_command(self, method, stage, tmp_path, capsys):
-        # Ryser refuses n = 25 too, so the message points nowhere else
-        path = self.write_graph(tmp_path, serialize_graph(BipartiteGraph.complete(25)))
-        assert main(["count", "--method", method, path]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {stage} is guarded at 1 <= n <= 9\n"
-
-    @pytest.mark.parametrize("n", ["25", "1000000"])
-    def test_gen_past_guard_exits_2_before_the_stream(self, n, monkeypatch, capsys):
-        # the stream fails if it is started, so only a guard ahead of it
-        # exits 2 with the guard's message
-        import permmatch.pcg as pcg
-
-        def never(seed):
-            raise AssertionError("drew a graph that gen refuses")
-
-        monkeypatch.setattr(pcg, "_uniform_stream", never)
-        assert main(["gen", "--n", n, "--density", "0.5", "--seed", "1"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: gen is guarded at 1 <= n <= 24\n"
-        with pytest.raises(ValueError, match="gen is guarded at 1 <= n <= 24$"):
-            random_graph(int(n), 0.5, 1)
-
-    @pytest.mark.parametrize("n", ["10", "1000000000"])
-    def test_factorize_past_guard_exits_2_before_parsing(self, n, monkeypatch, capsys):
-        import permmatch.perms as perms
-
-        def never(text, n):
-            raise AssertionError("parsed a permutation that factorize refuses")
-
-        monkeypatch.setattr(perms, "parse_cycles", never)
-        assert main(["factorize", "--n", n, "()"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: factorize is guarded at 1 <= n <= 9\n"
-
-    @pytest.mark.parametrize("header", ["1_0", "+2"], ids=["underscore", "plus"])
-    def test_verify_non_decimal_header_exits_2(self, header, tmp_path, capsys):
-        n = int(header)
-        path = self.write_graph(tmp_path, header + "\n" + ("1" * n + "\n") * n)
-        assert main(["verify", path]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"error: {path}: bad header line {header!r}" in captured.err
 
     def test_package_exports_in_a_fresh_process(self):
         # the package binds modules and __version__, no function or type:
@@ -907,62 +785,6 @@ class TestCli:
         result = run_python(["-c", script], preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
         assert (result.returncode, result.stdout, result.stderr) == (0, "130850092279664\n", "")
 
-    def test_closed_stdout_exits_141_silently(self, tmp_path):
-        # the reader quit before the output was written, as `| head -1` does;
-        # 141 is the status a shell reports for a process SIGPIPE ended
-        k3 = self.write_graph(tmp_path, "3\n111\n111\n111\n")
-        commands = (
-            ["verify", k3],
-            ["sweep", "--n", "2", "--exhaustive"],
-            ["gamma", "--n", "8", "--dot"],
-            ["factorize", "--n", "4", "(1,2,4,3)"],
-        )
-        for argv in commands:
-            read_end, write_end = os.pipe()
-            os.close(read_end)
-            try:
-                result = run_python(["-m", "permmatch", *argv], stdout=write_end)
-            finally:
-                os.close(write_end)
-            assert (result.returncode, result.stderr) == (141, ""), argv
-
-    def test_no_stdout_exits_2_in_one_line(self, tmp_path):
-        # a process started with fd 1 closed (`permmatch verify g.txt >&-`)
-        # has no sys.stdout: an output error, told before reading any file
-        k3 = self.write_graph(tmp_path, "3\n111\n111\n111\n")
-        expected = (2, f"error: stdout: {os.strerror(errno.EBADF)}\n")
-        for argv in (["verify", k3], ["verify", "/nonexistent/graph.txt"], ["--help"]):
-            result = run_python(["-m", "permmatch", *argv], stdout=None,
-                                preexec_fn=lambda: os.close(1))
-            assert (result.returncode, result.stderr) == expected, argv
-
-    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-    def test_failed_stdout_write_exits_2_in_one_line(self):
-        # any other failed write is an output error: exit 2, as for a usage or
-        # parse error, not a traceback and 1, which reads as a mismatch
-        expected = (2, f"error: stdout: {os.strerror(errno.ENOSPC)}\n")
-        commands = (
-            ["gen", "--n", "6", "--density", "0.5", "--seed", "7"],  # fails at the last flush
-            ["gamma", "--n", "8", "--dot"],  # fails while printing
-        )
-        for argv in commands:
-            with open("/dev/full", "w") as full:
-                result = run_python(["-m", "permmatch", *argv], stdout=full)
-            assert (result.returncode, result.stderr) == expected, argv
-
-    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-    def test_unwritable_stderr_exits_2_silently(self, tmp_path):
-        # a refusal, or a failed stdout write, that stderr cannot carry is
-        # told by the status alone: 2, not 1, which reads as a mismatch
-        bad = tmp_path / "bad.txt"
-        bad.write_text("2\n1x\n11\n")
-        with open("/dev/full", "w") as full:
-            result = run_python(["-m", "permmatch", "verify", str(bad)], stderr=full)
-            assert (result.returncode, result.stdout) == (2, "")
-            argv = ["gen", "--n", "6", "--density", "0.5", "--seed", "7"]
-            result = run_python(["-m", "permmatch", *argv], stdout=full, stderr=full)
-            assert result.returncode == 2
-
     def test_entry_flushes_both_streams_and_ends_the_process(self, tmp_path, capsys):
         # entry() ends the process with os._exit, which runs no line after
         # it and flushes nothing: stdout to a regular file and the stderr
@@ -1006,6 +828,91 @@ class TestCli:
         assert main(["sweep", "--n", "2", "--exhaustive"]) == 1
         report = json.loads(capsys.readouterr().out)
         assert report["agreement"] is False and len(report["mismatches"]) == 8
+
+
+# The least digit limit CPython accepts: int() refuses longer decimal strings.
+LOWERED = ["-X", "int_max_str_digits=640"]
+
+# A number longer than sys.maxsize's 19 digits is refused by its length
+# before int() reads it, so the interpreter's digit limit changes no byte
+# and nothing long is echoed; bytes are a graph file's, as in the refusal table.
+LONG_NUMBERS = [
+    (["factorize", "--n", "4", "(1," + "2" * 1000 + ")"],
+     "point of 1000 digits out of range 1..4 at position 3"),
+    (["factorize", "--n", "4", "(1," + "0" * 24 + "2)"],
+     "point of 25 digits out of range 1..4 at position 3"),
+    (["factorize", "--n", "1" * 1000, "()"],
+     "factorize: --n takes int values, not one of 1000 characters"),
+    (["gen", "--n", "3", "--density", "0.5", "--seed", "7" * 5000],
+     "gen: --seed takes int values, not one of 5000 characters"),
+    *((["verify", header], f"{{path}}: bad header line of {length} characters; "
+       "n has at most 19 digits")
+      for header, length in [(b"x" * 100_000 + b"\n1\n", 100_000), (b"1" * 4300 + b"\n1\n", 4300),
+                             (b"1" * 4300 + b"\n", 4300), (b"1" * 5000 + b"\n1\n", 5000),
+                             (b"1" * 1000 + b"\n1\n", 1000)]),
+    (["verify", str(2**63).encode() + b"\n1\n"],
+     "{path}: row 1 has 1 characters, expected 9223372036854775808"),
+]
+
+# A fresh `python -m permmatch`: its interpreter flags, stdio, argv, exit
+# status and stderr, None where stderr is not a pipe.  Each long number runs
+# at the default digit limit and at LOWERED.
+FRESH = [
+    *((flags, "pipes", argv, 2, f"error: {message}\n")
+      for argv, message in LONG_NUMBERS for flags in ([], LOWERED)),
+    # the reader quit before the output was written, as `| head -1` does;
+    # 141 is the status a shell reports for a process SIGPIPE ended
+    *(([], "stdout to a closed pipe", argv, 141, "") for argv in [
+        ["verify", complete(3)], ["sweep", "--n", "2", "--exhaustive"],
+        ["gamma", "--n", "8", "--dot"], ["factorize", "--n", "4", "(1,2,4,3)"],
+    ]),
+    # started with fd 1 closed (`>&-`), so with no sys.stdout: an output
+    # error, told before any file is read
+    *(([], "no fd 1", argv, 2, f"error: stdout: {os.strerror(errno.EBADF)}\n")
+      for argv in [["verify", complete(3)], ["verify", "/nonexistent/graph.txt"], ["--help"]]),
+    # any other failed write is an output error: 2, as for a usage or parse
+    # error, not a traceback and 1, which reads as a mismatch; gen fails at
+    # the last flush, gamma while printing
+    *(([], "stdout to /dev/full", argv, 2, f"error: stdout: {os.strerror(errno.ENOSPC)}\n")
+      for argv in [["gen", "--n", "6", "--density", "0.5", "--seed", "7"],
+                   ["gamma", "--n", "8", "--dot"]]),
+    # a refusal, or a failed stdout write, that stderr cannot carry is told
+    # by the status alone
+    ([], "stderr to /dev/full", ["verify", b"2\n1x\n11\n"], 2, None),
+    ([], "both to /dev/full", ["gen", "--n", "6", "--density", "0.5", "--seed", "7"], 2, None),
+]
+
+
+class TestFreshInterpreter:
+    """What main cannot see: the interpreter's flags and its stdio."""
+
+    @pytest.mark.parametrize("flags, stdio, argv, status, err", FRESH)
+    def test_a_fresh_interpreter_prints_one_exact_line(
+        self, flags, stdio, argv, status, err, tmp_path
+    ):
+        # the exit status, nothing on stdout where it is a pipe, and the
+        # exact stderr where it is one
+        argv = [place(arg, tmp_path) for arg in argv]
+        streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+        with contextlib.ExitStack() as stack:
+            if stdio == "stdout to a closed pipe":
+                read_end, write_end = os.pipe()
+                os.close(read_end)
+                stack.callback(os.close, write_end)
+                streams["stdout"] = write_end
+            elif stdio == "no fd 1":
+                streams.update(stdout=None, preexec_fn=lambda: os.close(1))
+            elif stdio != "pipes":
+                if not os.path.exists("/dev/full"):
+                    pytest.skip("no /dev/full")
+                full = stack.enter_context(open("/dev/full", "w"))
+                named = ["stdout", "stderr"] if stdio.startswith("both") else [stdio.split()[0]]
+                streams.update(dict.fromkeys(named, full))
+            result = run_python([*flags, "-m", "permmatch", *argv], **streams)
+        out = "" if streams["stdout"] is subprocess.PIPE else None
+        if err is not None:
+            err = err.replace("{path}", argv[-1])
+        assert (result.returncode, result.stdout, result.stderr) == (status, out, err)
 
 
 # sha256 of the stdout of `permmatch ARGV`; a changed byte changes a report.

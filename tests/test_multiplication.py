@@ -36,13 +36,6 @@ class TestFourCycle:
         assert w.edges_before == {(2, 2), (3, 3)}
         assert w.edges_after == {(2, 3), (3, 2)}
 
-    def test_matching_difference_postcondition(self):
-        p = parse_cycles("(1,2,4,3,5)", 5)
-        psi = Transposition(2, 3)
-        w = four_cycle(p, psi)
-        product = compose(p, psi.to_perm(5))
-        assert matching_edges(product) == (matching_edges(p) - w.edges_before) | w.edges_after
-
     def test_rejects_identity_multiplier(self):
         with pytest.raises(ValueError):
             four_cycle(Permutation.identity(4), Transposition(2, 2))
