@@ -25,9 +25,12 @@ from ._guards import DIGITS, GRAPH_BYTES, METHODS, guard
 def _read_graph(path: str) -> bipartite.BipartiteGraph:
     try:
         # read as bytes: parse_graph, not universal newlines, decides what
-        # ends a line, so a lone "\r" is refused as it is in process
+        # ends a line, so a lone "\r" is refused as it is in process.  64 KiB
+        # at a time: read(GRAPH_BYTES + 1) would allocate 1 MiB for any file
+        data = b""
         with open(path, "rb") as fh:
-            data = fh.read(GRAPH_BYTES + 1)
+            while len(data) <= GRAPH_BYTES and (chunk := fh.read(1 << 16)):
+                data += chunk
         if len(data) > GRAPH_BYTES:
             raise ValueError(f"a graph file holds at most {GRAPH_BYTES} bytes")
         return bipartite.parse_graph(data.decode("ascii"))
