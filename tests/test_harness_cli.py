@@ -550,6 +550,8 @@ class TestCli:
              "expected a command, one of verify, sweep, gamma, factorize, gen, count; got '--n'"),
             (["bogus"],
              "expected a command, one of verify, sweep, gamma, factorize, gen, count; got 'bogus'"),
+            # new rows go last, so that each earlier row keeps its argvN id
+            (["sweep", "--n", "2"], "sweep takes exactly one of --exhaustive and --trials"),
         ],
     )
     def test_refusals_print_one_exact_line(
