@@ -134,6 +134,16 @@ def _int(text: str) -> int:
     return int(text)
 
 
+def _float(text: str) -> float:
+    """float(text) unless text holds a non-ASCII character, a blank at either
+    end or "_", which _int refuses too and float() would read (" 0.5", another
+    script's digits, "1_0" as 10); nan, inf and values outside [0, 1] are
+    gen's to refuse."""
+    if not text.isascii() or "_" in text or text != text.strip():
+        raise ValueError
+    return float(text)
+
+
 # command -> (handler, positionals, options, required options); an option
 # maps to the converter of its value, None for a flag.  The handlers check
 # choices and exclusive options.
@@ -143,7 +153,7 @@ _COMMANDS = {
                                "--seed": _int}, ("--n",)),
     "gamma": (_cmd_gamma, (), {"--n": _int, "--dot": None, "--stats": None}, ("--n",)),
     "factorize": (_cmd_factorize, ("cycles",), {"--n": _int}, ("--n",)),
-    "gen": (_cmd_gen, (), {"--n": _int, "--density": float, "--seed": _int},
+    "gen": (_cmd_gen, (), {"--n": _int, "--density": _float, "--seed": _int},
             ("--n", "--density", "--seed")),
     "count": (_cmd_count, ("file",), {"--method": str}, ("--method",)),
 }
@@ -188,7 +198,7 @@ def _parse(argv: list):
             try:
                 values[opt[2:]] = options[opt](value)
             except ValueError:
-                kind = "float" if options[opt] is float else "int"
+                kind = "float" if options[opt] is _float else "int"
                 shown = repr(value) if len(value) <= DIGITS else f"one of {len(value)} characters"
                 raise ValueError(f"{command}: {opt} takes {kind} values, not {shown}") from None
     missing = [opt for opt in required if values[opt[2:]] is None]

@@ -1,7 +1,5 @@
 """Generating graph construction, path bijection, surplus accounting, DOT."""
 
-import math
-
 import pytest
 
 import permmatch.gamma as gamma
@@ -19,7 +17,7 @@ from permmatch.gamma import (
 )
 from permmatch.pcg import random_graph
 from permmatch.perms import Permutation, Transposition, parse_cycles
-from relabel import all_permutations, edge_graph, matching_edges, path_to_perm
+from relabel import edge_graph, matching_edges, path_to_perm
 
 
 def figure_path():
@@ -117,9 +115,6 @@ class TestPathPerm:
         )
         assert path_to_perm(path) == parse_cycles("(1,3)(2,4)", 4)
 
-    def test_perm_to_path_figure(self):
-        assert str(figure_path()) == "(12,31)(24,32)(34,43)(44,44)"
-
     def test_node_factor(self):
         assert GammaNode(2, 2, 2).psi == Transposition(2, 2)
         assert GammaNode(2, 4, 3).psi == Transposition(2, 4)
@@ -152,24 +147,8 @@ class TestPathPerm:
 
 
 class TestEnumeration:
-    def test_counts(self):
-        assert sum(1 for _ in enumerate_cvmps(3)) == 6
-        assert sum(1 for _ in enumerate_cvmps(4)) == 24
-
     def test_contains_figure_path(self):
         assert figure_path() in set(enumerate_cvmps(4))
-
-    def test_bijection(self):
-        for n in range(2, 7):
-            images = set()
-            count = 0
-            for p in enumerate_cvmps(n):
-                q = path_to_perm(p)
-                assert perm_to_path(q) == p
-                images.add(q)
-                count += 1
-            assert count == math.factorial(n)
-            assert images == set(all_permutations(n))
 
     def test_deterministic_order(self):
         first = [str(p) for p in enumerate_cvmps(3)]
@@ -210,9 +189,6 @@ def resolving(path):
 
 
 class TestSurplus:
-    def test_figure_surplus(self):
-        assert surplus_edges(figure_path()) == {(3, 2), (3, 4), (4, 4)}
-
     def test_identity_surplus_empty(self):
         assert surplus_edges(identity_path(4)) == frozenset()
         assert all(x.consumed_edge is None for x in identity_path(4).nodes)
@@ -235,11 +211,6 @@ class TestSurplus:
 
 
 class TestPathMatching:
-    def test_figure_matching(self):
-        m = path_to_matching(figure_path())
-        assert m == parse_cycles("(1,2,4,3)", 4)
-        assert matching_edges(m) == {(1, 2), (2, 4), (4, 3), (3, 1)}
-
     def test_identity_matching_is_diagonal(self):
         m = path_to_matching(identity_path(3))
         assert m == Permutation.identity(3)
@@ -266,11 +237,6 @@ class TestPathMatching:
         for p in paths:
             path_to_matching(p)
         assert len(calls) == len(paths) == 24
-
-    def test_equals_perm_matching_exhaustive(self):
-        for n in range(2, 6):
-            for p in enumerate_cvmps(n):
-                assert path_to_matching(p) == path_to_perm(p)
 
 
 class TestEdgeRequirement:
@@ -302,15 +268,6 @@ class TestEdgeRequirement:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             edge_requirement(figure_path(), BipartiteGraph.complete(3))
-
-
-class TestAdjacencyStructure:
-    def test_consecutive_nodes_linked_or_disjoint(self):
-        for n in range(2, 7):
-            gm = build_gamma(n)
-            for p in enumerate_cvmps(n):
-                for x, y in zip(p.nodes, p.nodes[1:]):
-                    assert (x, y) in gm.r_edges or (x, y) in gm.s_edges
 
 
 class TestDot:

@@ -112,6 +112,8 @@ GRAPHS = {
     "gen-5-0.6-77": gen(5, 0.6, 77),
     "gen-9-0.5-7": gen(9, 0.5, 7),
     "gen-6-0.5-7": gen(6, 0.5, 7),
+    # the graph file of VALID's argvs: J_4 less one permutation's cells, 9 matchings
+    "FILE": b"4\n1101\n0111\n1011\n1110\n",
 }
 
 # Rows of OUTPUTS that also run in a fresh `python -m permmatch`, stdout a
@@ -133,6 +135,25 @@ FRESH_OUTPUTS = [
      "sha256:15bb4f7c7ff4601c80114ae6625e28ef67908d5f61c92190b5c956359f26fe04"),
 ]
 
+# One valid, cheap argv for each command and mode, and what it prints, as
+# OUTPUTS states it: these are OUTPUTS rows too.
+VALID_OUTPUTS = [
+    (["verify", GRAPHS["FILE"]],
+     "sha256:53fbf04dd96d421ab3596aba97c624c0f03c24700f41c16cccb5844ccfc22a92"),
+    (["sweep", "--n", "2", "--exhaustive"],
+     "sha256:10d4629e85cccfe87c48ffbd48618fe86f680dfcbe7bdad78d13306ee094fbaf"),
+    (["sweep", "--n", "3", "--trials", "2", "--seed", "1"],
+     "sha256:386d26f50d0b6ad4ead7f8b7fe770989fee547fed89852f55c55972790fb1bc0"),
+    (["gamma", "--n", "3", "--stats"],
+     "sha256:caf247987fdd9b4b8ec021f68103305f4ec33e75fa92c02d8616cc430a2cf990"),
+    (["gamma", "--n", "3", "--dot"],
+     "sha256:3e508e5049414530b4d904fbf58b9046291b5f92dd1c61fe7a71ec17b62446e5"),
+    (["factorize", "--n", "4", "(1,2,4,3)"], "I*(3,4)*(2,4)*(1,2)\n(12,31)(24,32)(34,43)(44,44)\n"),
+    (["gen", "--n", "4", "--density", "0.5", "--seed", "7"], "4\n0001\n1010\n0111\n1100\n"),
+    *((["count", "--method", method, GRAPHS["FILE"]], "9\n")
+      for method in ("cvmp", "ryser", "brute")),
+]
+
 # What `permmatch ARGV` prints, exit 0 and nothing on stderr: the text, or
 # "sha256:" and its digest where it is long (see as_pinned).  Bytes in argv
 # are a graph file's.  A new output check is a row here.
@@ -152,7 +173,6 @@ OUTPUTS = [
      "sha256:8fe87ac7f8f7f95a141c7069f3bd566bb0e7320330f4ec983cf3edfe7a7d80e5"),
     # the factorization, then the path
     (["factorize", "--n", "4", "(1,3,2,4)"], "I*(3,4)*(2,4)*(1,3)\n(13,41)(24,32)(34,43)(44,44)\n"),
-    (["factorize", "--n", "4", "(1,2,4,3)"], "I*(3,4)*(2,4)*(1,2)\n(12,31)(24,32)(34,43)(44,44)\n"),
     (["factorize", "--n", "3", "()"], "I*I*I\n(11,11)(22,22)(33,33)\n"),
     (["factorize", "--n", "5", "(1,3,2)(4,5)"],
      "I*(4,5)*I*(2,3)*(1,3)\n(13,21)(23,32)(33,33)(45,54)(55,55)\n"),
@@ -167,9 +187,12 @@ OUTPUTS = [
     *(([flag], "sha256:f459b594d19cd4a3ee2497d6e9bd3c9d2dce692655e527e7df271228f19cfa79")
       for flag in ["-h", "--help"]),
     *FRESH_OUTPUTS,
+    *VALID_OUTPUTS,
 ]
 NAMED = {data: name for name, data in GRAPHS.items()}
 OUTPUT_IDS = [" ".join(NAMED.get(arg, arg) for arg in argv) for argv, _ in OUTPUTS]
+VALID = [argv for argv, _ in VALID_OUTPUTS]
+VALID_IDS = [" ".join(NAMED.get(arg, arg) for arg in argv) for argv in VALID]
 
 
 @pytest.fixture
@@ -252,18 +275,6 @@ class TestVerify:
         report = verify(g)
         assert report["graph"] == serialize_graph(g)
 
-    def test_dict_key_order_fixed(self):
-        d = verify(BipartiteGraph.complete(3))
-        assert list(d) == [
-            "n",
-            "graph",
-            "count_cvmp",
-            "count_bruteforce",
-            "count_ryser",
-            "agreement",
-            "elapsed",
-        ]
-
 
 class TestSweep:
     def test_exhaustive_n2(self):
@@ -288,12 +299,6 @@ class TestSweep:
     def test_exhaustive_takes_no_seed(self):
         with pytest.raises(ValueError, match="exhaustive sweeps take no seed"):
             sweep(3, seed=4)
-
-    def test_dict_key_order_fixed(self):
-        keys = ["n", "mode", "instances", "agreement", "mismatches"]
-        assert list(sweep(2)) == keys
-        keys[2:2] = ["trials", "seed"]
-        assert list(sweep(3, trials=2, seed=1)) == keys
 
     def test_random_guard_stays_below_path_counting(self):
         # path counting reaches n = 9, but a random sweep stops at 7
@@ -355,20 +360,6 @@ class TestCli:
         f = tmp_path / "g.txt"
         f.write_text(text)
         return str(f)
-
-    def test_gamma_stats(self, capsys):
-        assert main(["gamma", "--n", "4", "--stats"]) == 0
-        stats = json.loads(capsys.readouterr().out)
-        assert stats["node_count"] == 18
-        assert stats["valid_paths"] == 24
-        assert list(stats) == [
-            "n",
-            "node_count",
-            "r_edge_count",
-            "s_edge_count",
-            "valid_paths",
-            "unconstrained_walks",
-        ]
 
     def test_json_stdout_is_the_library_result(self, cvmp_off_on_edge_11, tmp_path, capsys):
         # the report writer is not json, so every report shape is checked
@@ -463,9 +454,12 @@ class TestCli:
             (["gen", "--n", "0", "--density", "0.5", "--seed", "0"],
              "gen is guarded at 1 <= n <= 24"),
             (["gen", "--n", "3", "--density", "0.5", "--seed", "-1"], "seed must be >= 0"),
-            # float() reads "nan", "inf" and "1_0" too; the range check refuses them
+            # float() reads "nan" and "inf" too; the range check refuses them
             *((["gen", "--n", "3", "--density", density, "--seed", "0"],
-               "density must lie in [0,1]") for density in ["2", "nan", "inf", "1_0"]),
+               "density must lie in [0,1]") for density in ["2", "nan", "inf"]),
+            # "_" is refused before float() reads it, which would read 10
+            (["gen", "--n", "3", "--density", "1_0", "--seed", "0"],
+             "gen: --density takes float values, not '1_0'"),
             (["sweep", "--n", "3"], "sweep takes exactly one of --exhaustive and --trials"),
             (["sweep", "--n", "3", "--trials", "5"], "random sweeps need a seed"),
             (["sweep", "--n", "4", "--trials", "0", "--seed", "1"],
@@ -552,6 +546,13 @@ class TestCli:
              "expected a command, one of verify, sweep, gamma, factorize, gen, count; got 'bogus'"),
             # new rows go last, so that each earlier row keeps its argvN id
             (["sweep", "--n", "2"], "sweep takes exactly one of --exhaustive and --trials"),
+            # float() would skip the blanks and read the Arabic-Indic digits
+            *((["gen", "--n", "3", "--density", density, "--seed", "0"],
+               f"gen: --density takes float values, not '{density}'")
+              for density in [" 0.5", "0.5 ", "\u0660.\u0665"]),
+            pytest.param(["count", "--method", "ryser", complete(25)],
+                         "Ryser is guarded at 1 <= n <= 24",
+                         marks=pytest.mark.never("permmatch.kernels._gray_sum")),
         ],
     )
     def test_refusals_print_one_exact_line(
@@ -619,12 +620,6 @@ class TestCli:
             else:
                 assert (status, out, calls) == (2, "", []), n
         assert in_guard == []  # n = 25 is past every guard
-
-    def test_gamma_stats_past_enumeration_guard(self, capsys):
-        # valid paths are counted where path counting reaches, past the
-        # enumeration guard; the first n past the cvmp guard prints null
-        assert main(["gamma", "--n", "10", "--stats"]) == 0
-        assert json.loads(capsys.readouterr().out)["valid_paths"] is None
 
     def test_gamma_stats_at_the_cvmp_and_build_guards(self, capsys):
         # valid paths are counted where path counting reaches, up to the cvmp
@@ -951,19 +946,6 @@ class TestFreshInterpreter:
         assert (result.returncode, result.stdout, result.stderr) == (status, out, err)
 
 
-# One valid, cheap argv for each command and mode; FILE is a graph file.
-VALID = [
-    ["verify", FILE],
-    ["sweep", "--n", "2", "--exhaustive"],
-    ["sweep", "--n", "3", "--trials", "2", "--seed", "1"],
-    ["gamma", "--n", "3", "--stats"],
-    ["gamma", "--n", "3", "--dot"],
-    ["factorize", "--n", "4", "(1,2,4,3)"],
-    ["gen", "--n", "4", "--density", "0.5", "--seed", "7"],
-    *(["count", "--method", m, FILE] for m in ("cvmp", "ryser", "brute")),
-]
-VALID_IDS = [" ".join("FILE" if a is FILE else a for a in argv) for argv in VALID]
-
 # What a cold command compiles: one row per VALID argv, then --help and a
 # refusal (BAD is a graph file with a bad row).  A row is the argv, its exit
 # status and the lazily registered modules (see permmatch/__init__.py) it
@@ -1004,7 +986,7 @@ class TestCompiles:
         # no attribute, so checking loads nothing; `-X importtime` never lists
         # a lazily compiled module, so it cannot serve here.
         files = {"FILE": tmp_path / "g.txt", "BAD": tmp_path / "bad.txt"}
-        files["FILE"].write_text("4\n1101\n0111\n1011\n1110\n")
+        files["FILE"].write_bytes(GRAPHS["FILE"])
         files["BAD"].write_text("2\n1x\n11\n")
         argv = [str(files[a]) if a in files else a for a in row.split()]
         script = "\n".join([
@@ -1036,11 +1018,8 @@ class TestCliParse:
 
     @pytest.fixture
     def run(self, tmp_path, capsys):
-        f = tmp_path / "g.txt"
-        f.write_text("4\n1101\n0111\n1011\n1110\n")
-
         def run(argv):
-            status = main([str(f) if a is FILE else a for a in argv])
+            status = main([place(arg, tmp_path) for arg in argv])
             out, err = capsys.readouterr()
             return status, blank_elapsed(out), err
 
@@ -1079,11 +1058,9 @@ class TestCliParse:
                 self.assert_usage_error(run(argv[:i] + [opt + "=1"] + argv[i + 1:]),
                                         f"{command}: {opt} takes no value")
 
-    @pytest.mark.parametrize("argv", VALID, ids=VALID_IDS)
-    def test_spellings_of_one_argv_print_the_same(self, argv, run):
+    @pytest.mark.parametrize("argv, out", VALID_OUTPUTS, ids=VALID_IDS)
+    def test_spellings_of_one_argv_print_the_same(self, argv, out, run):
         options = cli._COMMANDS[argv[0]][2]
-        expected = run(argv)
-        assert expected[0] == 0 and expected[1], expected
         joined, valued, positionals, i = [argv[0]], [argv[0]], [], 1
         while i < len(argv):
             if argv[i] in options and options[argv[i]] is not None:
@@ -1099,12 +1076,15 @@ class TestCliParse:
                 positionals.append(argv[i])
                 i += 1
         # --opt=value for --opt value; options after the positionals, then
-        # before them; a repeated option, whose last value wins
-        assert run(joined) == expected
-        assert run([argv[0], *positionals, *valued[1:]]) == expected
-        assert run([argv[0], *valued[1:], *positionals]) == expected
+        # before them; a repeated option, whose last value wins.  Each prints
+        # the row's output, as the argv itself does in OUTPUTS.
+        spellings = [joined, [argv[0], *positionals, *valued[1:]],
+                     [argv[0], *valued[1:], *positionals]]
         if "--n" in argv:
-            assert run([argv[0], "--n", "9", *argv[1:]]) == expected
+            spellings.append([argv[0], "--n", "9", *argv[1:]])
+        for spelling in spellings:
+            status, printed, err = run(spelling)
+            assert (status, as_pinned(printed, out), err) == (0, out, ""), spelling
 
     @pytest.mark.parametrize("command", ["verify", "count"])
     def test_double_dash_reads_a_file_named_like_an_option(
@@ -1138,7 +1118,7 @@ class TestCliParse:
         usage = re.search(r"^  count --method (\S+) FILE ", cli._USAGE, re.M).group(1)
         assert usage == "cvmp|ryser|brute"
         assert set(usage.split("|")) == set(METHODS)
-        status, out, err = run(["count", "--method", "exact", FILE])
+        status, out, err = run(["count", "--method", "exact", GRAPHS["FILE"]])
         assert (status, out) == (2, "")
         assert err == "error: count --method takes cvmp, ryser or brute, not 'exact'\n"
         named = re.search(r"takes (.*), not ", err).group(1)

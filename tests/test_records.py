@@ -179,6 +179,7 @@ class TestDictKeyOrder:
         argv = ["sweep", "--n", "2", "--trials", "2", "--seed", "1"]
         assert self.printed_keys(capsys, argv) == keys
         assert list(sweep(2, trials=2, seed=1)) == keys
+        assert list(sweep(3, trials=2, seed=1)) == keys
 
     def test_gamma_stats(self, capsys):
         keys = [
