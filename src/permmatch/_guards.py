@@ -12,7 +12,7 @@ GRAPH_BYTES = 1 << 20
 LIMITS = {
     "cvmp": 9,  # verify's reach, not a cost: the walk holds at most 2^n column sets
     "brute force": 9,  # time, not memory: n!/8! passes over the S_8 table
-    "Ryser": 24,  # 2^(n-1) Glynn terms: J_24 takes 3.2-4.4 s on two CPUs, 4.8-5.6 s on one
+    "Ryser": 24,  # 2^(n-1) Glynn terms: J_24 takes 4.8-7.6 s
     "sweep": 7,  # every instance runs all three counters
     "exhaustive sweep": 4,  # 2^(n*n) graphs
     "build": 12,  # S edges: 6,801 at n = 10, 20,449 at n = 12

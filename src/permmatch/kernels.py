@@ -31,35 +31,12 @@ step), the loop runs over the whole table.
 Orientation.  perm(A) = perm(A^T), and the skip works on columns, so from
 n = _LOW_BITS + 2, where it starts, the kernel runs on A^T when A^T has more
 columns of even degree than A (that is, A has more rows of even degree).
-
-The split.  From n = 15 (_SPLIT_ROWS Gray-coded rows) the Gray code is cut
-in two at its last row, and the count ends one of two ways.  When the
-process may run on at least two CPUs, a forked child walks the half where
-that row has d_i = -1 and writes its sum to a pipe; this process walks the
-other half, and when the child's sum arrives it is subtracted.  Otherwise
-this process walks the second half itself: one CPU, a host that cannot
-report its CPUs, a pipe or fork that cannot be made, and a child that ends
-without sending (killed, say, or out of memory) all end there, so a failed
-child costs time, never the count.  The child ends with os._exit because
-it holds copies of this process's unflushed stdio buffers and atexit
-hooks, which a normal exit would flush or run a second time.  It runs only
-the walk, over ints it already holds, so a caller's other threads cannot
-leave it a lock to wait on.  Every 256 Gray steps it checks that this
-process is still its parent and exits 1 when it is not, so a count killed
-by a signal leaves no child computing.  When this process's own walk is
-interrupted (Ctrl-C, say), it kills the child before reaping it, so the
-interrupt ends both at once.  Below n = 15 the fork, the child's start and
-its exit (about 2 ms together) cost more than half the walk saves.  From
-n = 15 it forks whatever work the zero-column skip leaves, so on sparse
-inputs at n = 15-17, where the skip leaves little, the fork can cost more
-than it saves.
 """
 
 import functools
 import itertools
 import math
 import operator
-import os
 
 from ._guards import guard
 
@@ -70,8 +47,6 @@ _LOW_BITS = 8  # sign rows tabulated per call: 256 entries
 _BIAS = 128  # field value of a zero column sum; |s_j| <= 24 stays in 0..255
 _ABS = bytes(abs(b - _BIAS) for b in range(256))
 _LIVE = bytes([1]) + bytes(255)  # flag byte 0 (no zero column sum) -> live
-_SPLIT_ROWS = 6  # Gray-coded rows (n >= 15) from which a forked child pays
-_POLL = 255  # a forked child checks for its parent when k & _POLL is 0
 
 
 def _zero_masks(start: int, low: list, n: int) -> list:
@@ -103,22 +78,16 @@ def _zero_masks(start: int, low: list, n: int) -> list:
     return masks
 
 
-def _gray_sum(base: int, high: list, low: list, masks: list, n: int, parent: int = 0) -> int:
-    """The signed sum of the terms reached from `base`, the field state of
-    the rows that stay fixed, by a Gray code over the rows whose doubled
-    fields `high` lists, each step adding the terms of every low entry; a
-    term's sign counts only the rows this walk flips.
-
-    A forked child passes its parent's pid as `parent`, and the walk raises
-    ChildProcessError once that process is no longer its parent."""
+def _gray_sum(base: int, high: list, low: list, masks: list, n: int) -> int:
+    """Glynn's signed sum, 2^(n-1) * perm(A): from `base`, the field state
+    with every d_i = +1, a Gray code walks the rows whose doubled fields
+    `high` lists, and each step adds the terms of every low entry."""
     prod, abs_table, compress = math.prod, _ABS, itertools.compress
     top_bits = int.from_bytes(bytes([0x80]) * n, "little")
     total = 0
     flipped = 0  # rows of `high` currently at d_i = -1, as a bitmask
     for k in range(1 << len(high)):
         if k:
-            if parent and not k & _POLL and os.getppid() != parent:
-                raise ChildProcessError(f"parent process {parent} is gone")
             bit = k & -k
             f = high[bit.bit_length() - 1]
             base += f if flipped & bit else -f
@@ -140,47 +109,6 @@ def _gray_sum(base: int, high: list, low: list, masks: list, n: int, parent: int
                 acc += -p if (odd + (y & top_bits).bit_count()) & 1 else p
         total += -acc if flipped.bit_count() & 1 else acc
     return total
-
-
-def _split_sum(base: int, high: list, low: list, masks: list, n: int) -> int:
-    """_gray_sum's sum, cut in two at the last row of `high`.  This process
-    walks the half where that row stays at d_i = +1.  When the process may
-    run on two CPUs, a forked child walks the other half, passed this
-    process's pid so that it stops once this process is gone, and sends its
-    sum back through a pipe.  Either that sum arrives and is subtracted, or
-    this process walks the other half too.  When this process's walk or
-    read raises, the child is killed before it is reaped."""
-    *high, last = high
-    parent, pid, pipe, sent = os.getpid(), None, (), b""
-    # The CPUs that `taskset` leaves this process; only Linux can say.
-    if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1:
-        try:
-            pipe = os.pipe()
-            pid = os.fork()
-        except OSError:
-            pass
-    if pid == 0:
-        status = 1
-        try:
-            os.close(pipe[0])
-            os.write(pipe[1], str(_gray_sum(base - last, high, low, masks, n, parent)).encode())
-            status = 0
-        finally:
-            os._exit(status)
-    try:
-        if pipe:
-            os.close(pipe[1])
-        own = _gray_sum(base, high, low, masks, n)
-        if pid:
-            sent = os.read(pipe[0], 4096)  # one write of under PIPE_BUF bytes arrives whole
-    finally:
-        if pipe:
-            os.close(pipe[0])
-        if pid:
-            if not sent:
-                os.kill(pid, 9)  # SIGKILL, without importing signal into every count
-            os.waitpid(pid, 0)
-    return own - (int(sent) if sent else _gray_sum(base - last, high, low, masks, n))
 
 
 def ryser_permanent(rows) -> int:
@@ -212,5 +140,4 @@ def ryser_permanent(rows) -> int:
     # building it costs about what it saves there, and more at small n.
     masks = _zero_masks(start, low, n) if gray else []
 
-    walk = _split_sum if len(high) >= _SPLIT_ROWS else _gray_sum
-    return walk(start, high, low, masks, n) >> (n - 1)
+    return _gray_sum(start, high, low, masks, n) >> (n - 1)

@@ -6,8 +6,8 @@ module runs it with its own counter.  Also the row bitmasks of a 0/1
 matrix and the graph of an edge set, which build a graph the one way the
 package does, from its rows; all of S_n, the edge set of a permutation's
 matching, the check that a permutation fixes a prefix of its points, cycle
-text for a permutation, the order of a stabilizer chain and the product of
-a valid path, which only tests need.
+text for a permutation, the order of a stabilizer chain, the product of a
+valid path and the determinant mod 2, which only tests need.
 """
 
 import itertools
@@ -104,3 +104,18 @@ def order_from_chain(chain):
 def path_to_perm(path):
     """Ordered product psi(x_n) ... psi(x_1) of a valid path."""
     return validate_path(path)[0]
+
+
+def det_mod2(rows):
+    """The determinant over GF(2) of the square 0/1 matrix whose row i is the
+    bitmask rows[i], by Gaussian elimination: 1 when the rows are linearly
+    independent mod 2, else 0.  Mod 2 the determinant's signs are all 1, so
+    it is the permanent mod 2, by code that shares nothing with a counter."""
+    rows = list(rows)
+    for j in range(len(rows)):
+        pivot = next((r for r in rows if r >> j & 1), 0)
+        if not pivot:
+            return 0
+        rows.remove(pivot)
+        rows = [r ^ pivot if r >> j & 1 else r for r in rows]
+    return 1

@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permmatch import cli
@@ -38,7 +38,7 @@ from permmatch.gamma import (
 )
 from permmatch.harness import count_via_cvmp, sweep, verify
 from permmatch.pcg import random_graph
-from relabel import assert_relabel_invariant, bitmasks, shuffled, square_01
+from relabel import assert_relabel_invariant, bitmasks, det_mod2, shuffled, square_01
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -274,6 +274,29 @@ class TestVerify:
         g = random_graph(4, 0.5, 17)
         report = verify(g)
         assert report["graph"] == serialize_graph(g)
+
+
+def with_examples(values):
+    """Hypothesis's @example once for each of `values`, which run every time."""
+    def apply(test):
+        for value in values:
+            test = example(value)(test)
+        return test
+    return apply
+
+
+class TestParity:
+    """perm(A) = det(A) (mod 2): the determinant's signs vanish mod 2."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(square_01.map(lambda a: BipartiteGraph(len(a), bitmasks(a))))
+    # past n = 9, where only Ryser reaches, one sparse graph at each n
+    @with_examples(random_graph(n, 0.3, n) for n in range(10, 25))
+    def test_every_counter_in_guard_has_the_parity_of_the_determinant(self, g):
+        for stage, _, module, counter in METHODS.values():
+            if g.n <= LIMITS[stage]:
+                count = getattr(sys.modules["permmatch." + module], counter)(g)
+                assert count % 2 == det_mod2(g.rows), (counter, serialize_graph(g))
 
 
 class TestSweep:
@@ -698,122 +721,24 @@ class TestCli:
         main_py = (SRC / "permmatch" / "__main__.py").read_text()
         assert main_py == "from .cli import entry\n\nentry()\n"
 
-    def test_killed_kernel_child_changes_no_byte(self, tmp_path):
-        # J - I at n = 16 splits the permanent's sum on two CPUs; a child
-        # killed by SIGKILL leaves its half to this process, so the count,
-        # the exit status and stderr are those of a run that forks nothing
-        j_minus_i = BipartiteGraph(16, bitmasks(shuffled(16, (0,), 16)))
-        path = self.write_graph(tmp_path, serialize_graph(j_minus_i))
-        killed = tmp_path / "killed"
-        script = "\n".join([
-            "import os, signal, sys",
-            "from permmatch import cli, kernels",
-            "parent, walk = os.getpid(), kernels._gray_sum",
-            "def killed_in_child(*args):",
-            "    if os.getpid() != parent:",
-            f"        open({str(killed)!r}, 'w').close()",
-            "        os.kill(os.getpid(), signal.SIGKILL)",
-            "    return walk(*args)",
-            "kernels._gray_sum = killed_in_child",
-            "os.sched_getaffinity = lambda pid: {0, 1}  # two CPUs on any host",
-            f"sys.argv = ['permmatch', 'count', '--method', 'ryser', {path!r}]",
-            "cli.entry()",
-        ])
-        result = run_python(["-c", script])
-        assert (result.returncode, result.stdout, result.stderr) == (0, "7697064251745\n", "")
-        assert killed.exists()
-
-    @contextlib.contextmanager
-    def split_k24_count(self, tmp_path):
-        """A fresh `count --method ryser` on K_24 with two CPUs, its stderr
-        read through a pipe, and its kernel child's pid once forked; both
-        are killed on the way out, so no run leaves a process behind."""
+    def test_interrupted_count_exits_130(self, tmp_path):
+        # SIGINT half a second into K_24's seconds-long count: the command
+        # exits 130 at once, as a shell reports SIGINT, with one line and
+        # no traceback
         path = self.write_graph(tmp_path, serialize_graph(BipartiteGraph.complete(24)))
-        pid_file = tmp_path / "child"
-        script = "\n".join([
-            "import os, sys",
-            "from permmatch import cli",
-            "fork = os.fork",
-            "def fork_and_record():",
-            "    pid = fork()",
-            "    if pid:",
-            f"        with open({str(pid_file) + '.part'!r}, 'w') as f:",
-            "            f.write(str(pid))",
-            f"        os.rename({str(pid_file) + '.part'!r}, {str(pid_file)!r})",
-            "    return pid",
-            "os.fork = fork_and_record",
-            "os.sched_getaffinity = lambda pid: {0, 1}  # two CPUs on any host",
-            f"sys.argv = ['permmatch', 'count', '--method', 'ryser', {path!r}]",
-            "cli.entry()",
-        ])
-        parent = subprocess.Popen([sys.executable, "-c", script], env=python_env(),
-                                  stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
-        child = None
-        try:
-            deadline = time.monotonic() + 30
-            while not pid_file.exists():
-                assert parent.poll() is None and time.monotonic() < deadline
-                time.sleep(0.01)
-            child = int(pid_file.read_text())
-            yield parent, child
-        finally:
-            parent.kill()
-            parent.wait()
-            parent.stderr.close()
-            if child is not None:
-                with contextlib.suppress(ProcessLookupError):
-                    os.kill(child, signal.SIGKILL)
-
-    def test_killed_count_stops_its_kernel_child(self, tmp_path):
-        # K_24's split sum keeps a child busy for seconds; once its parent
-        # is killed, the child stops within a second, a zombie or gone
-        with self.split_k24_count(tmp_path) as (parent, child):
-            parent.kill()
-            parent.wait()
-            stat = Path(f"/proc/{child}/stat")
-            deadline = time.monotonic() + 1
-            while True:
-                try:
-                    # the state follows the command name, which ends in ")"
-                    state = stat.read_text().rsplit(")", 1)[1].split()[0]
-                except (FileNotFoundError, ProcessLookupError):
-                    break
-                if state == "Z":
-                    break
-                assert time.monotonic() < deadline, f"child {child} still in state {state}"
-                time.sleep(0.01)
-
-    def test_interrupted_count_ends_its_kernel_child(self, tmp_path):
-        # SIGINT half a second into K_24's split sum: the command kills and
-        # reaps its child rather than wait seconds for the child's half, and
-        # exits 130, as a shell reports SIGINT, with one line, no traceback
-        with self.split_k24_count(tmp_path) as (parent, child):
-            time.sleep(0.5)
-            parent.send_signal(signal.SIGINT)
-            sent = time.monotonic()
-            _, err = parent.communicate(timeout=30)
-            assert time.monotonic() - sent < 0.5
-            assert (parent.returncode, err) == (130, "error: interrupted\n")
-            assert not Path(f"/proc/{child}").exists()
-
-    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no sched_setaffinity")
-    def test_one_cpu_count_forks_nothing(self, tmp_path):
-        # a process pinned to one of its CPUs, as `taskset -c 0` pins it,
-        # walks the whole sum itself and prints what the split prints
-        j_minus_i = BipartiteGraph(17, bitmasks(shuffled(17, (0,), 17)))
-        path = self.write_graph(tmp_path, serialize_graph(j_minus_i))
-        cpu = min(os.sched_getaffinity(0))
-        script = "\n".join([
-            "import os, sys",
-            "from permmatch import cli",
-            "def fork():",
-            "    raise AssertionError('forked on one CPU')",
-            "os.fork = fork",
-            f"sys.argv = ['permmatch', 'count', '--method', 'ryser', {path!r}]",
-            "cli.entry()",
-        ])
-        result = run_python(["-c", script], preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
-        assert (result.returncode, result.stdout, result.stderr) == (0, "130850092279664\n", "")
+        count = subprocess.Popen(
+            [sys.executable, "-m", "permmatch", "count", "--method", "ryser", path],
+            env=python_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        with count:
+            try:
+                time.sleep(0.5)
+                count.send_signal(signal.SIGINT)
+                sent = time.monotonic()
+                out, err = count.communicate(timeout=30)
+                assert time.monotonic() - sent < 0.5
+                assert (count.returncode, out, err) == (130, "", "error: interrupted\n")
+            finally:
+                count.kill()  # a no-op once it has exited
 
     def test_entry_flushes_both_streams_and_ends_the_process(self, tmp_path):
         # entry() ends the process with os._exit, which runs no line after

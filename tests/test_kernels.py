@@ -5,12 +5,9 @@ graph's rows; the tests build 0/1 matrices as lists and pass them through
 `relabel.bitmasks`.
 """
 
-import errno
 import itertools
 import math
-import os
 import random
-import signal
 
 import pytest
 from hypothesis import given, settings
@@ -134,7 +131,7 @@ def three_by_even(m):
     return a
 
 
-# (region, tilings) by closed form, n = 2-24; from n = 15 the count is split
+# (region, tilings) by closed form, n = 2-24
 TILINGS = (
     [pytest.param(aztec_diamond(k), 2 ** (k * (k + 1) // 2), id=f"aztec{k}") for k in range(1, 5)]
     + [pytest.param(board(2, m), fibonacci(m + 1), id=f"2x{m}") for m in range(15, 21)]
@@ -264,11 +261,11 @@ class TestZeroColumnSkip:
 
 
 class TestTilings:
-    """Domino tilings with closed-form counts, through the kernel on this
-    host's CPUs, on one CPU, and with rows and columns shuffled."""
+    """Domino tilings with closed-form counts, through the kernel as they
+    are and with rows and columns shuffled."""
 
     @pytest.mark.parametrize("cells, tilings", TILINGS)
-    def test_closed_forms(self, cells, tilings, monkeypatch):
+    def test_closed_forms(self, cells, tilings):
         rows = domino_rows(cells)
         n = len(rows)
         assert kernels.ryser_permanent(rows) == tilings
@@ -276,120 +273,3 @@ class TestTilings:
         order, cols = rnd.sample(range(n), n), rnd.sample(range(n), n)
         moved = [sum(1 << cols[w] for w in range(n) if rows[v] >> w & 1) for v in order]
         assert kernels.ryser_permanent(moved) == tilings
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert kernels.ryser_permanent(rows) == tilings
-
-
-class TestSplit:
-    """From n = 15, with two CPUs, a forked child walks half of the Gray
-    code and sends its sum back through a pipe."""
-
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        """The pids os.fork returns in this process, on a host of two CPUs."""
-        pids = []
-        fork = os.fork
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(os, "fork", lambda: pids.append(fork()) or pids[-1])
-        return pids
-
-    def test_child_is_reaped_and_its_pipe_closed(self, forks):
-        fds = os.listdir("/proc/self/fd")
-        assert kernels.ryser_permanent(bitmasks(shuffled(16, (0,), 16))) == derangements(16)
-        assert len(forks) == 1 and forks[0] > 0
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-        assert os.listdir("/proc/self/fd") == fds
-
-    @pytest.mark.parametrize("n", [15, 16, 17, 18])
-    def test_split_matches_subset_dp(self, n, forks):
-        a = random_rows(n, 0.5, 7 * n)
-        bits = bitmasks(a)
-        assert kernels.ryser_permanent(bits) == dp_permanent(bits)
-        assert len(forks) == 1
-
-    def test_failed_fork_walks_both_halves_here(self, monkeypatch):
-        def refuse():
-            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(os, "fork", refuse)
-        fds = os.listdir("/proc/self/fd")
-        assert kernels.ryser_permanent(bitmasks(shuffled(16, (0,), 16))) == derangements(16)
-        assert kernels.ryser_permanent(bitmasks(shuffled(15, (), 15))) == math.factorial(15)
-        a = random_rows(17, 0.5, 3)
-        assert kernels.ryser_permanent(bitmasks(a)) == dp_permanent(bitmasks(a))
-        assert os.listdir("/proc/self/fd") == fds
-
-    def test_failed_child_half_is_walked_here(self, monkeypatch, forks):
-        # a child killed by a signal, or ending with status 1 after an
-        # exception, costs a second walk here, not the count
-        parent, walk = os.getpid(), kernels._gray_sum
-
-        def killed():
-            os.kill(os.getpid(), signal.SIGKILL)
-
-        def raised():
-            raise MemoryError
-
-        for fail in (killed, raised):
-            def fail_in_child(*args):
-                if os.getpid() != parent:
-                    fail()
-                return walk(*args)
-
-            monkeypatch.setattr(kernels, "_gray_sum", fail_in_child)
-            fds = os.listdir("/proc/self/fd")
-            assert kernels.ryser_permanent(bitmasks(shuffled(16, (0,), 16))) == derangements(16)
-            assert len(forks) == 1, fail.__name__
-            forks.clear()
-            with pytest.raises(ChildProcessError):
-                os.waitpid(-1, os.WNOHANG)
-            assert os.listdir("/proc/self/fd") == fds, fail.__name__
-
-    def test_interrupted_walk_kills_its_child(self, monkeypatch, forks):
-        # the parent's own walk raises at once; its child, busy with the
-        # other half of J-I at n = 20, is killed rather than waited for
-        parent, walk, statuses = os.getpid(), kernels._gray_sum, []
-        waitpid = os.waitpid
-
-        def interrupted(*args):
-            if os.getpid() == parent:
-                raise KeyboardInterrupt
-            return walk(*args)
-
-        def recorded(pid, options):
-            done = waitpid(pid, options)
-            statuses.append(done[1])
-            return done
-
-        monkeypatch.setattr(kernels, "_gray_sum", interrupted)
-        monkeypatch.setattr(os, "waitpid", recorded)
-        fds = os.listdir("/proc/self/fd")
-        with pytest.raises(KeyboardInterrupt):
-            kernels.ryser_permanent(bitmasks(shuffled(20, (0,), 20)))
-        assert len(forks) == 1
-        assert len(statuses) == 1 and os.WIFSIGNALED(statuses[0])
-        assert os.WTERMSIG(statuses[0]) == signal.SIGKILL
-        assert os.listdir("/proc/self/fd") == fds
-        with pytest.raises(ChildProcessError):
-            waitpid(-1, os.WNOHANG)
-
-    @pytest.mark.parametrize("n", [15, 16, 17, 18])
-    def test_host_without_affinity_never_forks(self, n, monkeypatch):
-        monkeypatch.delattr(os, "sched_getaffinity")
-        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked without sched_getaffinity"))
-        bits = bitmasks(random_rows(n, 0.5, 5 * n))
-        assert kernels.ryser_permanent(bits) == dp_permanent(bits)
-
-    def test_one_cpu_never_forks(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked on one CPU"))
-        assert kernels.ryser_permanent(bitmasks(shuffled(17, (0,), 17))) == derangements(17)
-
-    @pytest.mark.parametrize("n", range(1, 15))
-    def test_below_fifteen_never_forks(self, n, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(os, "fork", lambda: pytest.fail(f"forked at n = {n}"))
-        bits = bitmasks(random_rows(n, 0.6, n))
-        assert kernels.ryser_permanent(bits) == dp_permanent(bits)

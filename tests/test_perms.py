@@ -230,6 +230,20 @@ class TestSift:
                 seen.add(tuple(factors))
             assert len(seen) == math.factorial(n)
 
+    def test_cycles_are_the_identity_factors(self):
+        # Feller's lemma: q has as many cycles, fixed points included, as
+        # sift(q) has identity factors (i,i), for all of S_n at n = 1-7
+        for n in range(1, 8):
+            for q in all_permutations(n):
+                seen, cycles = set(), 0
+                for start in range(1, n + 1):
+                    cycles += start not in seen
+                    while start not in seen:
+                        seen.add(start)
+                        start = q.image(start)
+                identities = sum(psi == Transposition(i, i) for i, psi in enumerate(sift(q), 1))
+                assert cycles == identities, q
+
     def test_residue_fixes_prefix(self):
         p = perm("(1,5,3)(2,4)", 5)
         residue = p
