@@ -31,11 +31,15 @@ METHODS = {
 LIMITS["gen"] = max(LIMITS[stage] for stage, *_ in METHODS.values())  # some counter accepts it
 
 
+def admits(n: int) -> list[str]:
+    """The METHODS names whose guard admits n, in verify's order."""
+    return [m for m, (stage, *_) in METHODS.items() if 1 <= n <= LIMITS[stage]]
+
+
 def guard(stage: str, n: int) -> None:
     """Raise ValueError, naming the limit, unless 1 <= n <= LIMITS[stage]; a
     counting stage's message names another method whose guard admits n."""
     if not 1 <= n <= LIMITS[stage]:
-        counting = {s: m for m, (s, *_) in METHODS.items()}
-        admits = [m for s, m in counting.items() if 1 <= n <= LIMITS[s]]
-        hint = f"; use `count --method {admits[0]}`" if stage in counting and admits else ""
+        use = admits(n) if stage in {s for s, *_ in METHODS.values()} else []
+        hint = f"; use `count --method {use[0]}`" if use else ""
         raise ValueError(f"{stage} is guarded at 1 <= n <= {LIMITS[stage]}{hint}")

@@ -16,7 +16,7 @@ import sys
 import time
 
 from . import pcg
-from ._guards import LIMITS, METHODS, guard
+from ._guards import LIMITS, METHODS, admits, guard
 from .bipartite import BipartiteGraph, serialize_graph
 
 SWEEP_DENSITY = 0.5
@@ -56,7 +56,7 @@ def count_via_cvmp(g: BipartiteGraph) -> int:
 
 def _instance_counts(g: BipartiteGraph) -> tuple[dict, dict]:
     counts, elapsed = {}, {}
-    for _, name, module, counter in METHODS.values():
+    for _, name, module, counter in map(METHODS.get, admits(g.n)):
         count = getattr(sys.modules["permmatch." + module], counter)
         t0 = time.perf_counter()
         counts["count_" + name] = count(g)
@@ -65,7 +65,7 @@ def _instance_counts(g: BipartiteGraph) -> tuple[dict, dict]:
 
 
 def verify(g: BipartiteGraph) -> dict:
-    """Count g by all three methods and compare.
+    """Count g by each method whose guard admits g.n, and compare.
 
     Returns the report `permmatch verify` prints, keys in printed order:
     n, graph, count_cvmp, count_bruteforce, count_ryser, agreement and
@@ -74,7 +74,7 @@ def verify(g: BipartiteGraph) -> dict:
     Raises ValueError, before counting anything, when fewer than two
     methods are in guard at g.n: one count would compare nothing.
     """
-    in_guard = [m for m, (stage, *_) in METHODS.items() if g.n <= LIMITS[stage]]
+    in_guard = admits(g.n)
     if len(in_guard) < 2:
         guards = ", ".join(f"{s} n <= {LIMITS[s]}" for s, *_ in METHODS.values())
         if not in_guard:

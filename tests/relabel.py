@@ -1,14 +1,13 @@
 """Shared test helpers.
 
-The relabelling property: relabelling rows or columns, or transposing,
-leaves the number of perfect matchings unchanged.  Each counter's test
-module runs it with its own counter.  Also the row bitmasks of a 0/1
-matrix and the graph of an edge set, which build a graph the one way the
-package does, from its rows; all of S_n, the edge set of a permutation's
-matching, the check that a permutation fixes a prefix of its points, cycle
-text for a permutation, the order of a stabilizer chain, the product of a
-valid path and the determinant mod 2, which only tests need.
-"""
+The graphs and counts of the closed-form table: J and its relatives by cell
+rule, shuffled by a seed; seeded random 0/1 matrices; the derangement and
+ménage numbers; and the relabellings that keep a count.  Also the row
+bitmasks of a 0/1 matrix and the graph of an edge set, which build a graph
+the one way the package does, from its rows; all of S_n, the edge set of a
+permutation's matching, the check that a permutation fixes a prefix of its
+points, cycle text for a permutation, the order of a stabilizer chain, the
+product of a valid path and the determinant mod 2."""
 
 import itertools
 import math
@@ -41,25 +40,54 @@ def edge_graph(n, edges):
     return BipartiteGraph(n, rows)
 
 
-def assert_relabel_invariant(count, rows, rnd):
+def relabellings(rows, rnd):
+    """Row bitmasks `rows` with rows shuffled, with columns shuffled, and transposed."""
     n = len(rows)
-    expected = count(BipartiteGraph(n, bitmasks(rows)))
     order = rnd.sample(range(n), n)
-    variants = (
-        [rows[v] for v in order],
-        [[row[w] for w in order] for row in rows],
-        [list(col) for col in zip(*rows)],
-    )
-    for variant in variants:
-        assert count(BipartiteGraph(n, bitmasks(variant))) == expected
+    yield [rows[v] for v in order]
+    yield [sum((r >> w & 1) << order[w] for w in range(n)) for r in rows]
+    yield [sum((r >> w & 1) << v for v, r in enumerate(rows)) for w in range(n)]
 
 
-def shuffled(n, missing, seed):
-    """J_n minus the cells (v, w) with (w - v) % n in `missing`, with rows
-    and columns shuffled: missing () is J, (0,) is J-I, (0, 1) is J-I-P."""
+# whether entry (v, w), from 0, of an n x n 0/1 matrix is 1
+CELLS = {
+    "J": lambda n, v, w: True,
+    "I": lambda n, v, w: v == w,
+    "J-I": lambda n, v, w: v != w,
+    "J-I-P": lambda n, v, w: (w - v) % n > 1,
+    "I+P": lambda n, v, w: (w - v) % n < 2,
+    "upper": lambda n, v, w: w >= v,
+}
+
+
+def shuffled(n, cells, seed=None):
+    """The n x n 0/1 matrix of the rule CELLS[cells], its rows and columns
+    shuffled by random.Random(seed); seed None keeps them in order."""
+    rows, cols = range(n), range(n)
+    if seed is not None:
+        rnd = random.Random(seed)
+        rows, cols = rnd.sample(range(n), n), rnd.sample(range(n), n)
+    return [[int(CELLS[cells](n, v, w)) for w in cols] for v in rows]
+
+
+def random_rows(n, density, seed):
+    """An n x n 0/1 matrix, each entry 1 with probability `density`."""
     rnd = random.Random(seed)
-    rows, cols = rnd.sample(range(n), n), rnd.sample(range(n), n)
-    return [[int((w - v) % n not in missing) for w in cols] for v in rows]
+    return [[int(rnd.random() < density) for _ in range(n)] for _ in range(n)]
+
+
+def derangements(n):
+    """!n = perm(J - I)."""
+    d = [1, 0]
+    for k in range(2, n + 1):
+        d.append((k - 1) * (d[-1] + d[-2]))
+    return d[n]
+
+
+def menage(n):
+    """The ménage number, perm(J - I - P) for n >= 3, by Touchard's formula (1934)."""
+    return sum((-1) ** k * 2 * n * math.comb(2 * n - k, k) // (2 * n - k)
+               * math.factorial(n - k) for k in range(n + 1))
 
 
 def all_permutations(n):
