@@ -1,4 +1,4 @@
-"""Closed forms and relations that every counter meets, each run through
+"""Closed forms and relations that every counter meets, each a case for
 every `_guards.METHODS` counter whose guard admits the graph's n, read from
 its module when it runs, as `verify` reads it: a new counter meets them all
 through its `METHODS` row alone."""
@@ -18,10 +18,10 @@ from relabel import (bitmasks, derangements, det_mod2, menage, random_rows, rela
                      shuffled, square_01)
 
 
-def counters(n):
-    """(name, counter) for each METHODS row whose guard admits n."""
-    for _, _, module, name in map(METHODS.get, admits(n)):
-        yield name, getattr(importlib.import_module("permmatch." + module), name)
+def counter(method):
+    """METHODS[method]'s counter, read from its module."""
+    _, _, module, name = METHODS[method]
+    return getattr(importlib.import_module("permmatch." + module), name)
 
 
 def graph(n, cells, seed=None):
@@ -59,10 +59,11 @@ CLOSED_FORMS = (
 )
 
 
-@pytest.mark.parametrize("g, count", CLOSED_FORMS)
-def test_closed_form(g, count):
-    for name, counter in counters(g.n):
-        assert counter(g) == count, name
+@pytest.mark.parametrize("method, g, count", [
+    pytest.param(method, *row.values, id=f"{method}-{row.id}")
+    for row in CLOSED_FORMS for method in admits(row.values[0].n)])
+def test_closed_form(method, g, count):
+    assert counter(method)(g) == count
 
 
 def test_the_table_reaches_every_counters_limit():
@@ -79,14 +80,22 @@ def past_nine(test):
     return test
 
 
+# name -> whether counter `count` meets the relation on graph g
+RELATIONS = {
+    # a row shuffle, a column shuffle and the transpose keep the count
+    "relabelling": lambda count, g, rnd: len(
+        {count(BipartiteGraph(g.n, rows)) for rows in (g.rows, *relabellings(g.rows, rnd))}) == 1,
+    # perm(A) = det(A) (mod 2): the determinant's signs vanish mod 2
+    "parity": lambda count, g, rnd: count(g) % 2 == det_mod2(g.rows),
+}
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("relation", RELATIONS)
 @settings(max_examples=50, deadline=None)
 @given(square_01.map(lambda a: BipartiteGraph(len(a), bitmasks(a))),
        st.randoms(use_true_random=False))
 @past_nine
-def test_relabelling_keeps_the_count_and_its_parity(g, rnd):
-    # perm(A) = det(A) (mod 2): the determinant's signs vanish mod 2
-    for name, counter in counters(g.n):
-        count = counter(g)
-        assert count % 2 == det_mod2(g.rows), (name, serialize_graph(g))
-        for rows in relabellings(g.rows, rnd):
-            assert counter(BipartiteGraph(g.n, rows)) == count, (name, serialize_graph(g))
+def test_relation(relation, method, g, rnd):
+    if method in admits(g.n):
+        assert RELATIONS[relation](counter(method), g, rnd), serialize_graph(g)
