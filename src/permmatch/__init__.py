@@ -1,11 +1,11 @@
 """Perfect-matching enumeration workbench.
 
-Counts perfect matchings in bipartite graphs three independent ways --
-valid-path qualification in the generating graph, brute force over S_n,
-and an inclusion-exclusion permanent -- and cross-checks them exhaustively
-at small n.  The package binds only its modules and `__version__`: each
-name is imported from the module defining it (`from permmatch.gamma import
-build_gamma`).
+Counts perfect matchings in bipartite graphs three independent ways -- the
+paper's valid paths, qualified by a level pass over open-column sets (no
+generating graph is built), brute force over S_n and an inclusion-exclusion
+permanent -- and cross-checks them exhaustively at small n.  The package
+binds only its modules and `__version__`: each name is imported from the
+module defining it (`from permmatch.gamma import build_gamma`).
 
 `gamma` and `perms` hold the paper's construction, which only the `gamma`
 and `factorize` commands run; `harness` serves only `verify`, `sweep`,

@@ -1,5 +1,5 @@
 """Every limit of the workbench: n per stage, the digits of a number, the
-bytes of a graph file, the counting methods and the one refusal."""
+bytes of a graph file, the counting methods (`counter`) and the one refusal."""
 
 import sys
 
@@ -21,8 +21,8 @@ LIMITS = {
     "factorize": 9,  # past 9 a node label such as (1010,1010) is ambiguous
 }
 # `count --method` name -> (guard stage, report name, module, counter), in the
-# order verify runs them.  Each counter is looked up on permmatch.<module> when
-# it runs: harness compiles only for cvmp, and a rebinding there is what runs.
+# order verify runs them.  `counter` looks each up on permmatch.<module> when
+# called: harness compiles only for cvmp, and a rebinding there is what runs.
 METHODS = {
     "cvmp": ("cvmp", "cvmp", "harness", "count_via_cvmp"),
     "brute": ("brute force", "bruteforce", "bipartite", "count_bruteforce"),
@@ -34,6 +34,13 @@ LIMITS["gen"] = max(LIMITS[stage] for stage, *_ in METHODS.values())  # some cou
 def admits(n: int) -> list[str]:
     """The METHODS names whose guard admits n, in verify's order."""
     return [m for m, (stage, *_) in METHODS.items() if 1 <= n <= LIMITS[stage]]
+
+
+def counter(method: str):
+    """METHODS[method]'s counter, read from sys.modules now: permmatch registers
+    harness, and a graph exists only once bipartite is imported."""
+    _, _, module, name = METHODS[method]
+    return getattr(sys.modules["permmatch." + module], name)
 
 
 def guard(stage: str, n: int) -> None:

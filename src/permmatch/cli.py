@@ -19,7 +19,7 @@ import sys
 # gamma, harness, pcg and perms are compiled on first use (see __init__), so
 # they are read through their modules: binding a name here would load its module
 from . import bipartite, gamma, harness, pcg, perms
-from ._guards import DIGITS, GRAPH_BYTES, METHODS, guard
+from ._guards import DIGITS, GRAPH_BYTES, METHODS, counter, guard
 
 
 def _read_graph(path: str) -> bipartite.BipartiteGraph:
@@ -119,8 +119,7 @@ def _cmd_count(args) -> int:
     if method not in METHODS:
         raise ValueError(f"count --method takes cvmp, ryser or brute, not {method!r}")
     g = _read_graph(args["file"])
-    _, _, module, counter = METHODS[method]
-    print(getattr(sys.modules["permmatch." + module], counter)(g))
+    print(counter(method)(g))
     return 0
 
 

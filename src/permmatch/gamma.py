@@ -26,8 +26,7 @@ edge pair; dashed S edges join node-disjoint pairs at adjacent levels.
 
 import itertools
 
-from . import harness
-from ._guards import LIMITS, guard
+from ._guards import admits, counter, guard
 from ._record import Record
 from .bipartite import BipartiteGraph, contains_matching
 from .perms import Permutation, Transposition, coset_transversals, sift, suffix_products
@@ -308,7 +307,7 @@ def unconstrained_walk_count(gamma: GammaGraph) -> int:
 def gamma_stats(n: int) -> dict:
     """Shape numbers for the generating graph at n, as `permmatch gamma
     --stats` prints them: n, node_count, r_edge_count, s_edge_count,
-    valid_paths (None past LIMITS["cvmp"]) and unconstrained_walks.
+    valid_paths (None where cvmp's guard refuses n) and unconstrained_walks.
 
     unconstrained_walks counts level-1-to-n walks that only follow R/S edges
     between consecutive levels, ignoring the suffix-product constraint; it is
@@ -316,7 +315,7 @@ def gamma_stats(n: int) -> dict:
     """
     gamma = build_gamma(n)
     complete = BipartiteGraph.complete(n)
-    valid = harness.count_via_cvmp(complete) if n <= LIMITS["cvmp"] else None
+    valid = counter("cvmp")(complete) if "cvmp" in admits(n) else None
     return {
         "n": n,
         "node_count": len(gamma.nodes),

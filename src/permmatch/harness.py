@@ -12,11 +12,10 @@ first-class outcome and gets embedded, with the full graph text, in the
 report so it can be replayed.
 """
 
-import sys
 import time
 
 from . import pcg
-from ._guards import LIMITS, METHODS, admits, guard
+from ._guards import LIMITS, METHODS, admits, counter, guard
 from .bipartite import BipartiteGraph, serialize_graph
 
 SWEEP_DENSITY = 0.5
@@ -54,16 +53,6 @@ def count_via_cvmp(g: BipartiteGraph) -> int:
     return sum(ways.values())
 
 
-def _instance_counts(g: BipartiteGraph) -> tuple[dict, dict]:
-    counts, elapsed = {}, {}
-    for _, name, module, counter in map(METHODS.get, admits(g.n)):
-        count = getattr(sys.modules["permmatch." + module], counter)
-        t0 = time.perf_counter()
-        counts["count_" + name] = count(g)
-        elapsed[name] = time.perf_counter() - t0
-    return counts, elapsed
-
-
 def verify(g: BipartiteGraph) -> dict:
     """Count g by each method whose guard admits g.n, and compare.
 
@@ -83,7 +72,12 @@ def verify(g: BipartiteGraph) -> dict:
             f"only one counting method is in guard at n={g.n} ({guards}) and "
             f"verify needs two to compare; use `count --method {in_guard[0]}` for the count"
         )
-    counts, elapsed = _instance_counts(g)
+    counts, elapsed = {}, {}
+    for method in in_guard:
+        name, count = METHODS[method][1], counter(method)
+        t0 = time.perf_counter()
+        counts["count_" + name] = count(g)
+        elapsed[name] = time.perf_counter() - t0
     return {
         "n": g.n,
         "graph": serialize_graph(g),
@@ -111,28 +105,23 @@ def sweep(n: int, trials: int | None = None, seed: int | None = None) -> dict:
         guard("exhaustive sweep", n)
         if seed is not None:
             raise ValueError("exhaustive sweeps take no seed")
+        report = {"n": n, "mode": "exhaustive"}
         graphs = (BipartiteGraph.from_mask(n, m) for m in range(1 << (n * n)))
     else:
         if seed is None:
             raise ValueError("random sweeps need a seed")
         if trials < 1:
             raise ValueError(f"random sweeps need trials >= 1, got {trials}")
+        report = {"n": n, "mode": "random", "trials": trials, "seed": seed}
         graphs = (pcg.random_graph(n, SWEEP_DENSITY, seed + t) for t in range(trials))
 
+    counters = [("count_" + METHODS[m][1], counter(m)) for m in admits(n)]
     instances = 0
     mismatches = []
     for g in graphs:
         instances += 1
-        counts, _ = _instance_counts(g)
-        values = set(counts.values())
-        if len(values) > 1:
-            entry = {"graph": serialize_graph(g)}
-            entry.update(counts)
-            mismatches.append(entry)
+        counts = {key: count(g) for key, count in counters}
+        if len(set(counts.values())) > 1:
+            mismatches.append({"graph": serialize_graph(g)} | counts)
     mismatches.sort(key=lambda e: e["graph"])
-    if trials is None:
-        report = {"n": n, "mode": "exhaustive"}
-    else:
-        report = {"n": n, "mode": "random", "trials": trials, "seed": seed}
     return report | {"instances": instances, "agreement": not mismatches, "mismatches": mismatches}
-

@@ -4,6 +4,7 @@ import contextlib
 import errno
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -34,6 +35,7 @@ from permmatch.gamma import (
     edge_requirement,
     enumerate_cvmps,
     gamma_stats,
+    path_to_matching,
     unconstrained_walk_count,
 )
 from permmatch.harness import count_via_cvmp, sweep, verify
@@ -225,6 +227,28 @@ class TestCountViaCvmp:
                 for seed in range(10):
                     g = random_graph(n, density, 600 + seed)
                     assert count_via_cvmp(g) == qualified(g, paths), (n, density, seed)
+
+    def test_level_states_are_the_papers_prefixes(self):
+        # The level pass's entry for open columns F after level j counts the
+        # prefixes psi_1..psi_j of valid paths whose rows 1..j lie in g and
+        # leave F open.  With rows j+1..n replaced by F, only F completes
+        # them, in (n - j)! ways, so count_via_cvmp reads that one entry.
+        for n in range(1, 6):
+            paths = [([x.k for x in p.nodes], path_to_matching(p).images)
+                     for p in enumerate_cvmps(n)]
+            for seed in range(8):
+                g = random_graph(n, 0.6, 900 + seed)
+                for j in range(n + 1):
+                    prefixes = {tuple(ks[:j]): images[:j] for ks, images in paths}
+                    for cols in itertools.combinations(range(1, n + 1), n - j):
+                        kept = sum(
+                            1 for rows in prefixes.values()
+                            if all(g.has_edge(v, w) for v, w in enumerate(rows, start=1))
+                            and set(rows).isdisjoint(cols)
+                        )
+                        free = sum(1 << (w - 1) for w in cols)
+                        h = BipartiteGraph(n, [*g.rows[:j], *[free] * (n - j)])
+                        assert kept * math.factorial(n - j) == count_via_cvmp(h), (n, seed, cols)
 
 
 class TestVerify:

@@ -1,9 +1,8 @@
 """Closed forms and relations that every counter meets, each a case for
-every `_guards.METHODS` counter whose guard admits the graph's n, read from
-its module when it runs, as `verify` reads it: a new counter meets them all
+every `_guards.METHODS` counter whose guard admits the graph's n, read
+through `_guards.counter` as `verify` reads it: a new counter meets them all
 through its `METHODS` row alone."""
 
-import importlib
 import math
 import random
 
@@ -11,17 +10,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from permmatch._guards import LIMITS, METHODS, admits
+from permmatch._guards import LIMITS, METHODS, admits, counter
 from permmatch.bipartite import BipartiteGraph, serialize_graph
 from permmatch.pcg import random_graph
 from relabel import (bitmasks, derangements, det_mod2, menage, random_rows, relabellings,
                      shuffled, square_01)
-
-
-def counter(method):
-    """METHODS[method]'s counter, read from its module."""
-    _, _, module, name = METHODS[method]
-    return getattr(importlib.import_module("permmatch." + module), name)
 
 
 def graph(n, cells, seed=None):
