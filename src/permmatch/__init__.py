@@ -9,9 +9,11 @@ module defining it (`from permmatch.gamma import build_gamma`).
 
 `gamma` and `perms` hold the paper's construction, which only the `gamma`
 and `factorize` commands run; `harness` serves only `verify`, `sweep`,
-`count --method cvmp` and `gamma --stats`, and `pcg` only `gen` and random
-sweeps.  So the four are registered in `sys.modules` at import but compiled
-only on first attribute access (`importlib.util.LazyLoader`); the table
+`count --method cvmp` and `gamma --stats`, and writes the JSON reports of
+all but the count; `kernels`, the permanent, serves only `verify`, `sweep`
+and `count --method ryser`; and `pcg` only `gen` and random sweeps.  So the
+five are registered in `sys.modules` at import but compiled only on first
+attribute access (`importlib.util.LazyLoader`); the table
 `COMPILES` in tests/test_harness_cli.py lists what each command compiles.
 Registration, not a function-local import, keeps every module a tracer
 reads from `sys.modules` after `import permmatch.cli` in place.
@@ -35,6 +37,7 @@ def _register_lazy(name: str):
 perms = _register_lazy("perms")
 gamma = _register_lazy("gamma")
 harness = _register_lazy("harness")
+kernels = _register_lazy("kernels")
 pcg = _register_lazy("pcg")
 
 __version__ = "0.1.0"

@@ -16,8 +16,9 @@ import errno
 import os
 import sys
 
-# gamma, harness, pcg and perms are compiled on first use (see __init__), so
-# they are read through their modules: binding a name here would load its module
+# gamma, harness, pcg and perms (and kernels, under bipartite) are compiled on
+# first use (see __init__), so they are read through their modules: binding a
+# name here would compile its module.  harness also writes the reports.
 from . import bipartite, gamma, harness, pcg, perms
 from ._guards import DIGITS, GRAPH_BYTES, METHODS, counter, guard
 
@@ -40,44 +41,10 @@ def _read_graph(path: str) -> bipartite.BipartiteGraph:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-# The report writer is json.dumps(obj, indent=2) for the ASCII text and finite
-# numbers reports hold (anything else raises TypeError), written out here
-# because a cold process pays more to import json than to count a small graph.
-_ESCAPES = {c: f"\\u{c:04x}" for c in [*range(32), 127]}
-_ESCAPES.update({8: "\\b", 9: "\\t", 10: "\\n", 12: "\\f", 13: "\\r", 34: '\\"', 92: "\\\\"})
-
-
-def _string(s) -> str:
-    if not (isinstance(s, str) and s.isascii()):
-        raise TypeError(f"report text is ASCII str, not {s!r:.20}")
-    return f'"{s.translate(_ESCAPES)}"'
-
-
-def _json(obj, indent: str = "\n") -> str:
-    """json.dumps(obj, indent=2) for nested dicts, lists, ASCII str, int, finite
-    float, bool and None; any other key or value raises TypeError."""
-    inner = indent + "  "
-    if isinstance(obj, dict):
-        items = [f"{inner}{_string(k)}: {_json(v, inner)}" for k, v in obj.items()]
-        return "{" + ",".join(items) + indent + "}" if items else "{}"
-    if isinstance(obj, list):
-        items = [inner + _json(v, inner) for v in obj]
-        return "[" + ",".join(items) + indent + "]" if items else "[]"
-    if isinstance(obj, str):
-        return _string(obj)
-    if obj is None or isinstance(obj, bool):
-        return {None: "null", True: "true", False: "false"}[obj]
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float) and obj - obj == 0:  # not NaN or an infinity
-        return float.__repr__(obj)
-    raise TypeError(f"a report holds no {type(obj).__name__} {obj!r:.20}")
-
-
 def _cmd_verify(args) -> int:
     g = _read_graph(args["file"])
     report = harness.verify(g)
-    print(_json(report))
+    print(harness._json(report))
     return 0 if report["agreement"] else 1
 
 
@@ -85,7 +52,7 @@ def _cmd_sweep(args) -> int:
     if args["exhaustive"] == (args["trials"] is not None):
         raise ValueError("sweep takes exactly one of --exhaustive and --trials")
     report = harness.sweep(args["n"], trials=args["trials"], seed=args["seed"])
-    print(_json(report))
+    print(harness._json(report))
     return 0 if report["agreement"] else 1
 
 
@@ -95,7 +62,7 @@ def _cmd_gamma(args) -> int:
     if args["dot"]:
         print(gamma.export_dot(args["n"]), end="")
     else:
-        print(_json(gamma.gamma_stats(args["n"])))
+        print(harness._json(gamma.gamma_stats(args["n"])))
     return 0
 
 

@@ -9,7 +9,8 @@ same columns open are merged into one count: one pass over the levels, with
 no prefix's continuations walked twice.  The harness compares that
 count against the brute-force and Ryser oracles; a disagreement is a
 first-class outcome and gets embedded, with the full graph text, in the
-report so it can be replayed.
+report so it can be replayed.  The harness also writes the report text that
+`verify`, `sweep` and `gamma --stats` print.
 """
 
 import time
@@ -125,3 +126,39 @@ def sweep(n: int, trials: int | None = None, seed: int | None = None) -> dict:
             mismatches.append({"graph": serialize_graph(g)} | counts)
     mismatches.sort(key=lambda e: e["graph"])
     return report | {"instances": instances, "agreement": not mismatches, "mismatches": mismatches}
+
+
+# The report writer is json.dumps(obj, indent=2) for the ASCII text and finite
+# numbers reports hold (anything else raises TypeError), written out here
+# because a cold process pays more to import json than to count a small graph.
+# Its names are private, so a tracer that wraps public functions leaves its
+# time with the command that prints the report.
+_ESCAPES = {c: f"\\u{c:04x}" for c in [*range(32), 127]}
+_ESCAPES.update({8: "\\b", 9: "\\t", 10: "\\n", 12: "\\f", 13: "\\r", 34: '\\"', 92: "\\\\"})
+
+
+def _string(s) -> str:
+    if not (isinstance(s, str) and s.isascii()):
+        raise TypeError(f"report text is ASCII str, not {s!r:.20}")
+    return f'"{s.translate(_ESCAPES)}"'
+
+
+def _json(obj, indent: str = "\n") -> str:
+    """json.dumps(obj, indent=2) for nested dicts, lists, ASCII str, int, finite
+    float, bool and None; any other key or value raises TypeError."""
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        items = [f"{inner}{_string(k)}: {_json(v, inner)}" for k, v in obj.items()]
+        return "{" + ",".join(items) + indent + "}" if items else "{}"
+    if isinstance(obj, list):
+        items = [inner + _json(v, inner) for v in obj]
+        return "[" + ",".join(items) + indent + "]" if items else "[]"
+    if isinstance(obj, str):
+        return _string(obj)
+    if obj is None or isinstance(obj, bool):
+        return {None: "null", True: "true", False: "false"}[obj]
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float) and obj - obj == 0:  # not NaN or an infinity
+        return float.__repr__(obj)
+    raise TypeError(f"a report holds no {type(obj).__name__} {obj!r:.20}")

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permmatch import cli
+from permmatch import cli, harness
 from permmatch._guards import GRAPH_BYTES, LIMITS, METHODS
 from permmatch.bipartite import (
     BipartiteGraph,
@@ -391,7 +391,7 @@ class TestCli:
     def test_report_writer_is_json_dumps(self, obj):
         # any ASCII text, controls, quotes and backslashes among it, and any
         # finite float: what a report can hold is written as json writes it
-        assert cli._json(obj) == json.dumps(obj, indent=2)
+        assert harness._json(obj) == json.dumps(obj, indent=2)
 
     @pytest.mark.parametrize("obj", [
         (1, 2), {1: "a"}, {"a": b"x"}, [{1, 2}], {"a": [object()]},
@@ -399,7 +399,7 @@ class TestCli:
     ])
     def test_report_writer_refuses_what_reports_never_hold(self, obj):
         with pytest.raises(TypeError):
-            cli._json(obj)
+            harness._json(obj)
 
     @pytest.mark.parametrize("argv, out", OUTPUTS, ids=OUTPUT_IDS)
     def test_outputs_print_exact_bytes(self, argv, out, tmp_path, capsys):
@@ -842,26 +842,29 @@ class TestFreshInterpreter:
         assert (result.returncode, result.stdout, result.stderr) == (status, out, err)
 
 
-# What a cold command compiles: one row per VALID argv, then --help and a
-# refusal (BAD is a graph file with a bad row).  A row is the argv, its exit
+# What a cold command compiles: one row per VALID argv, then --help, a
+# refusal (BAD is a graph file with a bad row) and gamma --stats past cvmp's
+# guard, where harness only writes the report.  A row is the argv, its exit
 # status and the lazily registered modules (see permmatch/__init__.py) it
-# compiles past the eager five; only gamma and factorize run the paper's
-# construction in gamma and perms.
+# compiles past the eager four; only gamma and factorize run the paper's
+# construction in gamma and perms, and only the commands that count by Ryser
+# compile kernels.
 COMPILES = [
-    ("verify FILE", 0, ["harness"]),
-    ("sweep --n 2 --exhaustive", 0, ["harness"]),
-    ("sweep --n 3 --trials 2 --seed 1", 0, ["harness", "pcg"]),
+    ("verify FILE", 0, ["harness", "kernels"]),
+    ("sweep --n 2 --exhaustive", 0, ["harness", "kernels"]),
+    ("sweep --n 3 --trials 2 --seed 1", 0, ["harness", "kernels", "pcg"]),
     ("gamma --n 3 --stats", 0, ["gamma", "harness", "perms"]),
     ("gamma --n 3 --dot", 0, ["gamma", "perms"]),
     ("factorize --n 4 (1,2,4,3)", 0, ["gamma", "perms"]),
     ("gen --n 4 --density 0.5 --seed 7", 0, ["pcg"]),
     ("count --method cvmp FILE", 0, ["harness"]),
-    ("count --method ryser FILE", 0, []),
+    ("count --method ryser FILE", 0, ["kernels"]),
     ("count --method brute FILE", 0, []),
     ("--help", 0, []),
     ("verify BAD", 2, []),
+    ("gamma --n 10 --stats", 0, ["gamma", "harness", "perms"]),
 ]
-EAGER = ["_guards", "_record", "bipartite", "cli", "kernels"]
+EAGER = ["_guards", "_record", "bipartite", "cli"]
 # Loaded by no command: reports are written without json, graph files are
 # decoded by the built-in ASCII decoder, no module needs __future__, random
 # graphs come from the package's own PCG64 stream, nothing needs dataclasses
