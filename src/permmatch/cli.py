@@ -26,12 +26,9 @@ from ._guards import DIGITS, GRAPH_BYTES, METHODS, counter, guard
 def _read_graph(path: str) -> bipartite.BipartiteGraph:
     try:
         # read as bytes: parse_graph, not universal newlines, decides what
-        # ends a line, so a lone "\r" is refused as it is in process.  64 KiB
-        # at a time: read(GRAPH_BYTES + 1) would allocate 1 MiB for any file
-        data = b""
+        # ends a line, so a lone "\r" is refused as it is in process
         with open(path, "rb") as fh:
-            while len(data) <= GRAPH_BYTES and (chunk := fh.read(1 << 16)):
-                data += chunk
+            data = fh.read(GRAPH_BYTES + 1)
         if len(data) > GRAPH_BYTES:
             raise ValueError(f"a graph file holds at most {GRAPH_BYTES} bytes")
         return bipartite.parse_graph(data.decode("ascii"))
@@ -234,7 +231,3 @@ def entry() -> None:
         except OSError:
             status = 2
     os._exit(status)
-
-
-if __name__ == "__main__":
-    entry()

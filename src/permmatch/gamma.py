@@ -161,16 +161,12 @@ class Cvmp(Record):
 def build_gamma(n: int) -> GammaGraph:
     """Construct the level graph for K_{n,n}; deterministic node order."""
     guard("build", n)
-    nodes = []
-    for i in range(1, n + 1):
-        nodes.append(GammaNode(i, i, i))
-        for k in range(i + 1, n + 1):
-            for t in range(i + 1, n + 1):
-                nodes.append(GammaNode(i, k, t))
-
-    by_pos = {}
-    for x in nodes:
-        by_pos.setdefault(x.position, []).append(x)
+    by_pos = {
+        i: [GammaNode(i, i, i)]
+        + [GammaNode(i, k, t) for k in range(i + 1, n + 1) for t in range(i + 1, n + 1)]
+        for i in range(1, n + 1)
+    }
+    nodes = [x for level in by_pos.values() for x in level]
 
     # R by lookup: consumed edge (t, k) is the (t, k) of a level-t node with
     # that k, or of a level-k node with that t.

@@ -8,8 +8,6 @@ factorization and `unsift` multiplies it back out.  The level-i factor is
 the transposition (i,k) with k >= i, and its identity I is (i,i).
 """
 
-from functools import lru_cache
-
 from ._guards import DIGITS
 from ._record import Record
 
@@ -77,7 +75,6 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     return Permutation(qi[x - 1] for x in p.images)
 
 
-@lru_cache(maxsize=None)
 def coset_transversals(n: int) -> tuple:
     """Transversals U_1..U_n of the point-stabilizer chain of S_n, as a tuple.
 
@@ -96,13 +93,13 @@ def sift(p: Permutation) -> list:
     """Factor p into per-level transpositions [psi_1 .. psi_n], psi_i in U_i.
 
     At level i the residue already fixes 1..i-1 and moves i to some m >= i;
-    psi_i is entry m - i of the level-i transversal, (i,m), which is I when
+    psi_i is (i,m), the member of U_i that takes i to m, which is I when
     m = i.  Multiplying the residue by psi_i then fixes i as well.
     """
     factors = []
     residue = p
-    for i, level in enumerate(coset_transversals(p.n), start=1):
-        psi = level[residue.image(i) - i]
+    for i in range(1, p.n + 1):
+        psi = Transposition(i, residue.image(i))
         factors.append(psi)
         residue = compose(residue, psi.to_perm(p.n))
     return factors
@@ -117,8 +114,8 @@ def unsift(factors) -> Permutation:
     n = len(factors)
     if n < 1:
         raise ValueError("need at least one factor")
-    for i, (psi, level) in enumerate(zip(factors, coset_transversals(n)), start=1):
-        if psi not in level:
+    for i, psi in enumerate(factors, start=1):
+        if not (psi.i == i and psi.k <= n):
             raise ValueError(f"factor ({psi.i},{psi.k}) at level {i} is not in U_{i}")
     return suffix_products(factors)[0]
 

@@ -572,6 +572,28 @@ class TestCli:
             assert main(run) == 2, run
             assert capsys.readouterr() == ("", f"error: {message}\n"), run
 
+    def test_a_graph_file_is_read_to_one_byte_past_the_bound(self, monkeypatch, capsys):
+        # /dev/zero never ends: the reader takes GRAPH_BYTES + 1 bytes, then refuses
+        taken = []
+
+        def counting_open(*args):
+            fh = open(*args)
+            read = fh.read
+
+            def counted(*size):
+                data = read(*size)
+                taken.append(len(data))
+                return data
+
+            fh.read = counted
+            return fh
+
+        monkeypatch.setattr(cli, "open", counting_open, raising=False)
+        assert main(["verify", "/dev/zero"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: /dev/zero: a graph file holds at most 1048576 bytes\n")
+        assert sum(taken) == GRAPH_BYTES + 1
+
     # what verify prints for a graph at n = 10-24, which only Ryser's guard admits
     ONLY_RYSER = ("error: only one counting method is in guard at n={n} (cvmp n <= 9, "
                   "brute force n <= 9, Ryser n <= 24) and verify needs two to compare; "
